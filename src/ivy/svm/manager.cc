@@ -18,9 +18,9 @@ constexpr int kMaxFaultRelocates = 8;
 std::unique_ptr<Manager> Manager::create(Svm& svm) {
   switch (svm.options().manager) {
     case ManagerKind::kCentralized:
-      return std::make_unique<CentralizedManager>(svm);
+      return std::make_unique<OwnerMapManager>(svm, /*distributed=*/false);
     case ManagerKind::kFixedDistributed:
-      return std::make_unique<FixedDistributedManager>(svm);
+      return std::make_unique<OwnerMapManager>(svm, /*distributed=*/true);
     case ManagerKind::kDynamicDistributed:
       return std::make_unique<DynamicDistributedManager>(svm);
     case ManagerKind::kBroadcast:
@@ -97,20 +97,7 @@ void Manager::on_fault_request(net::Message&& msg) {
     return;
   }
   if (entry.busy()) {
-    if (!defer_busy_requests()) {
-      // Broadcast probes reach every node including the live owner; a
-      // busy bystander (or owner-to-be) simply stays silent and the
-      // requester's retransmission finds the owner once it exists.
-      // Deferring a *copy* of a broadcast here could serve it a second
-      // time later, after another server already answered it.
-      svm_.rpc().ignore(msg);
-      return;
-    }
-    // This node is itself mid-fault (or in post-fault grace, or holding
-    // a pending ownership transfer) on the page; the request is replayed
-    // once that settles.  In particular an owner-to-be queues requests
-    // until its ownership arrives.
-    svm_.defer_request(page, std::move(msg));
+    park(std::move(msg), page);
     return;
   }
   if (entry.owned) {

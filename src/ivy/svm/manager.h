@@ -40,12 +40,6 @@ class Manager {
   /// forwarded, possibly replayed from the deferred queue).
   void on_fault_request(net::Message&& msg);
 
-  /// Pushes a deferred request back into the routing fabric (used by the
-  /// deadlock-avoidance reroute of requests parked at non-owners).
-  void reroute(net::Message&& msg, PageId page) {
-    route_request(std::move(msg), page);
-  }
-
   /// The shared address space grew (Svm::grow_table): managers with
   /// per-page bookkeeping extend it.  New pages start with the
   /// configured initial owner, matching the page-table init.
@@ -62,11 +56,14 @@ class Manager {
   /// owner and has no fault in progress for the page).
   virtual void route_request(net::Message&& msg, PageId page) = 0;
 
-  /// Whether requests arriving while this node is protocol-busy on the
-  /// page are queued for replay (unicast managers: the deferred message
-  /// is the only live copy) or silently ignored (broadcast probes: every
-  /// node got one, and replaying a stale copy could double-serve it).
-  [[nodiscard]] virtual bool defer_busy_requests() const { return true; }
+  /// A request arrived while this node is protocol-busy on the page (mid
+  /// fault, in post-fault grace, or holding a pending ownership
+  /// transfer).  Unicast managers queue it for replay once the page
+  /// settles — the deferred message is the only live copy, and an
+  /// owner-to-be keeps its queue until its ownership arrives.
+  virtual void park(net::Message&& msg, PageId page) {
+    svm_.defer_request(page, std::move(msg));
+  }
 
   // --- shared owner-side mechanics ---------------------------------------
 
@@ -123,14 +120,16 @@ class Manager {
   Svm& svm_;
 };
 
-/// Improved centralized manager.  The manager node keeps owner[p]; on a
-/// write fault it forwards the request and eagerly records the requester
-/// as the new owner, so no confirmation round-trip exists.
-class CentralizedManager final : public Manager {
+/// Owner-map manager: the improved centralized manager and the fixed
+/// distributed manager, which differ only in manager_of(p).  The manager
+/// of p keeps owner[p]; on a write fault it forwards the request and
+/// eagerly records the requester as the new owner, so no confirmation
+/// round-trip exists.
+class OwnerMapManager final : public Manager {
  public:
-  explicit CentralizedManager(Svm& svm);
-
- public:
+  /// `distributed`: manager_of(p) = H(p) = p mod N (fixed distributed
+  /// manager); otherwise every page is managed by options().manager_node.
+  OwnerMapManager(Svm& svm, bool distributed);
   void on_table_grown(PageId new_num_pages) override;
 
  protected:
@@ -139,34 +138,27 @@ class CentralizedManager final : public Manager {
   void note_write_grant(PageId page, NodeId new_owner) override;
 
  private:
-  [[nodiscard]] bool is_manager() const {
-    return svm_.self() == svm_.options().manager_node;
-  }
-  /// Manager bookkeeping: picks the forward target and updates the owner
-  /// map for write faults.
-  NodeId manage(PageId page, net::MsgKind kind, NodeId origin);
+  /// owner[p] plus the owner it replaced: the ownership history a
+  /// re-issued request from the recorded owner is routed along.
+  struct Ownership {
+    NodeId owner = kNoNode;
+    NodeId prev = kNoNode;
+  };
 
-  std::vector<NodeId> owner_map_;  ///< populated only on the manager node
-};
-
-/// Fixed distributed manager: manager(p) = p mod N.
-class FixedDistributedManager final : public Manager {
- public:
-  explicit FixedDistributedManager(Svm& svm);
-  void on_table_grown(PageId new_num_pages) override;
-
- protected:
-  void route_initial(PageId page, net::MsgKind kind) override;
-  void route_request(net::Message&& msg, PageId page) override;
-  void note_write_grant(PageId page, NodeId new_owner) override;
-
- private:
   [[nodiscard]] NodeId manager_of(PageId page) const {
-    return static_cast<NodeId>(page % svm_.nodes());
+    return distributed_ ? static_cast<NodeId>(page % svm_.nodes())
+                        : svm_.options().manager_node;
   }
+  [[nodiscard]] bool manages_pages() const {
+    return distributed_ || svm_.self() == svm_.options().manager_node;
+  }
+  /// Manager bookkeeping: picks the forward target (kNoNode when the map
+  /// has no answer) and updates the owner map for write faults.
   NodeId manage(PageId page, net::MsgKind kind, NodeId origin);
+  void record_owner(PageId page, NodeId owner);
 
-  std::vector<NodeId> owner_map_;  ///< entries for pages this node manages
+  const bool distributed_;
+  std::vector<Ownership> map_;  ///< populated only on managing nodes
 };
 
 /// Dynamic distributed manager: chase probOwner hints; forwarding a
@@ -186,6 +178,9 @@ class DynamicDistributedManager final : public Manager {
  protected:
   void route_initial(PageId page, net::MsgKind kind) override;
   void route_request(net::Message&& msg, PageId page) override;
+  /// Defers, and re-routes requests parked at a non-owner after a short
+  /// delay (see the definition).
+  void park(net::Message&& msg, PageId page) override;
 };
 
 /// Broadcast manager: the paper's "reply from any receiving processor"
@@ -198,7 +193,10 @@ class BroadcastManager final : public Manager {
  protected:
   void route_initial(PageId page, net::MsgKind kind) override;
   void route_request(net::Message&& msg, PageId page) override;
-  bool defer_busy_requests() const override { return false; }
+  /// Busy nodes ignore probes: every node (including the live owner) got
+  /// its own copy, and replaying a deferred copy later could serve it a
+  /// second time after another server already answered it.
+  void park(net::Message&& msg, PageId) override { svm_.rpc().ignore(msg); }
 };
 
 }  // namespace ivy::svm

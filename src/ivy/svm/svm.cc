@@ -298,26 +298,6 @@ void Svm::defer_request(PageId page, net::Message&& msg) {
   IVY_DEBUG() << "node " << self_ << " defers " << net::to_string(msg.kind)
               << " from " << msg.origin << " for page " << page;
   entry.deferred_requests.push_back(std::move(msg));
-  // An owner (or a node with a pending outbound transfer) serves its
-  // queue when it settles.  A *non-owner* holding requests is only a
-  // waypoint: its own fault may transitively depend on a requester whose
-  // request it is holding — two concurrent write faults can park each
-  // other's requests and deadlock.  Re-route parked requests along the
-  // (meanwhile improved) hint chain after a short delay.
-  if (entry.owned || entry.reroute_armed) return;
-  entry.reroute_armed = true;
-  sim_.schedule_after(ms(25), [this, page] {
-    PageEntry& e = table_.at(page);
-    e.reroute_armed = false;
-    if (!e.busy() || e.owned || pending_transfers_.contains(page)) {
-      return;  // settled (or about to serve); the normal replay handles it
-    }
-    auto parked = std::move(e.deferred_requests);
-    e.deferred_requests.clear();
-    for (net::Message& m : parked) {
-      manager_->reroute(std::move(m), page);
-    }
-  });
 }
 
 void Svm::invalidate_copies(PageId page, std::function<void()> done) {
