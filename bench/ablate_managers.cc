@@ -43,6 +43,7 @@ void run_workload(const char* name,
                 static_cast<unsigned long long>(
                     stats.total(Counter::kMessages)),
                 out.verified ? "yes" : "NO");
+    rt->final_audit();
     if (oracle::Oracle* o = rt->oracle()) {
       std::printf("  %s\n", o->brief().c_str());
     }

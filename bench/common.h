@@ -62,9 +62,11 @@ inline bool parse_cli(int argc, char** argv) {
 /// Arms tracing/oracle/manager-override on a config as requested.
 inline void apply_cli(Config& cfg) { cli().apply(cfg); }
 
-/// Writes the requested artifacts for one finished run (overwrites) and
-/// prints the oracle's one-line verdict when one is armed.
+/// Audits one finished run (see Runtime::final_audit), writes the
+/// requested artifacts (overwrites) and prints the oracle's one-line
+/// verdict when one is armed.
 inline void export_run(Runtime& rt, Time elapsed) {
+  rt.final_audit();
   if (!cli().trace_out.empty()) rt.write_trace(cli().trace_out);
   if (!cli().metrics_out.empty()) rt.write_metrics(cli().metrics_out, elapsed);
   if (!cli().prof_out.empty()) rt.write_prof(cli().prof_out);

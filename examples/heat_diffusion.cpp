@@ -131,6 +131,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (speedscope / flamegraph.pl collapsed)\n",
                 flags.prof_out.c_str());
   }
+  rt.final_audit();
   if (ivy::oracle::Oracle* o = rt.oracle()) {
     std::printf("%s\n", o->brief().c_str());
   }

@@ -88,6 +88,7 @@ int main(int argc, char** argv) {
   if (!flags.prof_out.empty() && rt.write_prof(flags.prof_out)) {
     std::printf("wrote %s\n", flags.prof_out.c_str());
   }
+  rt.final_audit();
   if (ivy::oracle::Oracle* o = rt.oracle()) {
     std::printf("%s\n", o->brief().c_str());
   }

@@ -178,11 +178,12 @@ Time Runtime::run() {
     run_prof_ =
         std::make_unique<prof::Profiler::Snapshot>(prof_->snapshot());
   }
-  if (oracle_) {
-    drain();  // let in-flight handoffs settle so every page is quiescent
-    oracle_->final_audit();
-  }
   return elapsed;
+}
+
+void Runtime::final_audit() {
+  drain();  // let in-flight handoffs settle so every page is quiescent
+  if (oracle_) oracle_->final_audit();
 }
 
 void Runtime::enable_tracing(std::size_t capacity) {
@@ -339,7 +340,7 @@ std::string Runtime::dump_state() const {
 }
 
 void Runtime::check_coherence_invariants() {
-  drain();
+  final_audit();
   const PageId pages = cfg_.total_pages();
   for (PageId p = 0; p < pages; ++p) {
     NodeId owner = kNoNode;

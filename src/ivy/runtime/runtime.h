@@ -149,13 +149,20 @@ class Runtime {
   /// still be in flight; drain settles the machine.
   void drain() { sim_.run_until_idle(); }
 
+  /// Drains the machine and runs the oracle's full-strength audit of
+  /// every (now quiescent) page; with the oracle off it only drains.
+  /// run() does not audit: draining there would move the clock under
+  /// the program's own timing, so arming the oracle would change the
+  /// run it observes.  Call it once the program's results are taken.
+  void final_audit();
+
   /// Multi-line diagnostic dump of every non-quiescent page and every
   /// scheduler (used by the deadlock report; handy in tests).
   [[nodiscard]] std::string dump_state() const;
 
   /// Invariant audit over all page tables (see DESIGN.md §5): exactly one
   /// owner per page, writer exclusivity, copyset ⊇ readers, probOwner
-  /// chains terminate.  Drains in-flight events first.  Cheap enough to
+  /// chains terminate.  Runs final_audit() first.  Cheap enough to
   /// call from tests after every phase.
   void check_coherence_invariants();
 

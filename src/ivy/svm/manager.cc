@@ -96,8 +96,31 @@ void Manager::on_fault_request(net::Message&& msg) {
     svm_.rpc().ignore(msg);
     return;
   }
+  if (payload.held && !entry.owned) {
+    // A probe this node held as a busy owner, replayed after the page
+    // moved on (or passed on by such a node): forward it toward the
+    // current owner whether or not this node is busy.  The owner's rpc
+    // layer recognises a copy it already served or holds; waiting here
+    // instead could serve the request a second time once this node
+    // regains the page.
+    forward(std::move(msg), page, entry.prob_owner);
+    return;
+  }
   if (entry.busy()) {
-    park(std::move(msg), page);
+    // Mid fault, in post-fault grace, or holding a pending ownership
+    // transfer: hold the request and replay it once the page settles —
+    // no timer.  Under the dynamic manager this is the paper's
+    // distributed queue: a write faulter holds the requests its forwarded
+    // request's probOwner rewrites sent its way.  A broadcast probe
+    // reaches here only at an owner, and its held copy becomes the
+    // request's only live copy.
+    if (payload.broadcast) {
+      FaultPayload held = payload;
+      held.broadcast = false;
+      held.held = true;
+      msg.payload = held;
+    }
+    svm_.defer_request(page, std::move(msg));
     return;
   }
   if (entry.owned) {
@@ -298,14 +321,15 @@ void Manager::note_write_grant(PageId, NodeId) {}
 
 void Manager::on_table_grown(PageId) {}
 
-void Manager::note_forward(const net::Message& msg, PageId page,
-                           NodeId next) {
+void Manager::forward(net::Message&& msg, PageId page, NodeId next) {
+  IVY_PROF(svm_.stats(), note_hop(msg.origin, page));
   IVY_EVT(svm_.stats(), record(svm_.self(), trace::EventKind::kForward, page,
                                msg.origin));
   if (CoherenceObserver* obs = svm_.observer()) {
     obs->on_forward(svm_.self(), page, next, msg.origin,
                     msg.kind == net::MsgKind::kWriteFault);
   }
+  svm_.rpc().forward(std::move(msg), next);
 }
 
 void Manager::retry_fault(PageId page, net::MsgKind kind) {
@@ -346,7 +370,8 @@ void Manager::broadcast_locate(PageId page, net::MsgKind kind) {
   payload.hint = entry.prob_owner;
   payload.broadcast = true;
   payload.copy_version = entry.version;
-  // Busy nodes ignore broadcast probes, so locate retries briskly.
+  // A locate runs only after the hints failed (the request bounced, or
+  // was lost to poisoned routing state), so it retries briskly.
   entry.fault_rpc = svm_.rpc().broadcast(
       kind, payload, FaultPayload::kWireBytes, rpc::BcastReply::kAny,
       [this](net::Message&& reply) { on_grant(std::move(reply)); }, nullptr,

@@ -56,15 +56,6 @@ class Manager {
   /// owner and has no fault in progress for the page).
   virtual void route_request(net::Message&& msg, PageId page) = 0;
 
-  /// A request arrived while this node is protocol-busy on the page (mid
-  /// fault, in post-fault grace, or holding a pending ownership
-  /// transfer).  Unicast managers queue it for replay once the page
-  /// settles — the deferred message is the only live copy, and an
-  /// owner-to-be keeps its queue until its ownership arrives.
-  virtual void park(net::Message&& msg, PageId page) {
-    svm_.defer_request(page, std::move(msg));
-  }
-
   // --- shared owner-side mechanics ---------------------------------------
 
   /// Serves a read fault at the owner: downgrade to read access, add the
@@ -91,9 +82,9 @@ class Manager {
   /// broadcast — the fallback when hint chains degenerate into cycles.
   void broadcast_locate(PageId page, net::MsgKind kind);
 
-  /// Records a routing hop (trace event + observer) just before the
-  /// request is handed to rpc().forward().
-  void note_forward(const net::Message& msg, PageId page, NodeId next);
+  /// Forwards a request this node cannot serve to `next`, recording the
+  /// routing hop (profiler, trace event, observer) first.
+  void forward(net::Message&& msg, PageId page, NodeId next);
 
   /// Re-drives an in-progress fault after its request bounced or its
   /// grant proved stale.  Handles the case where ownership arrived
@@ -178,9 +169,6 @@ class DynamicDistributedManager final : public Manager {
  protected:
   void route_initial(PageId page, net::MsgKind kind) override;
   void route_request(net::Message&& msg, PageId page) override;
-  /// Defers, and re-routes requests parked at a non-owner after a short
-  /// delay (see the definition).
-  void park(net::Message&& msg, PageId page) override;
 };
 
 /// Broadcast manager: the paper's "reply from any receiving processor"
@@ -188,15 +176,11 @@ class DynamicDistributedManager final : public Manager {
 /// every node on every fault.
 class BroadcastManager final : public Manager {
  public:
-  explicit BroadcastManager(Svm& svm);
+  explicit BroadcastManager(Svm& svm) : Manager(svm) {}
 
  protected:
   void route_initial(PageId page, net::MsgKind kind) override;
   void route_request(net::Message&& msg, PageId page) override;
-  /// Busy nodes ignore probes: every node (including the live owner) got
-  /// its own copy, and replaying a deferred copy later could serve it a
-  /// second time after another server already answered it.
-  void park(net::Message&& msg, PageId) override { svm_.rpc().ignore(msg); }
 };
 
 }  // namespace ivy::svm

@@ -3,20 +3,16 @@
 // paper names locating page owners as the use case for that scheme).
 // Simple, but every fault interrupts every processor — the ablation
 // bench quantifies the cost.
+//
+// The owner answers every probe: a busy owner holds its copy (see
+// Manager::on_fault_request) instead of staying silent, so no fault
+// waits for a retransmission on a healthy network.  Non-owners, busy or
+// not, ignore probes — the owner got its own copy.
 #include "ivy/svm/manager.h"
 
-#include "ivy/prof/prof.h"
+#include "ivy/base/check.h"
 
 namespace ivy::svm {
-
-BroadcastManager::BroadcastManager(Svm& svm) : Manager(svm) {
-  // Busy nodes ignore probes instead of deferring them (see
-  // defer_busy_requests), so a fault that races an ownership move is
-  // resolved by retransmitting the broadcast; the default half-second
-  // cadence would make contended faults glacial.
-  svm.rpc().set_request_timeout(ms(40));
-  svm.rpc().set_check_interval(ms(20));
-}
 
 void BroadcastManager::route_initial(PageId page, net::MsgKind kind) {
   IVY_CHECK_GT(svm_.nodes(), 1u);
@@ -32,13 +28,10 @@ void BroadcastManager::route_initial(PageId page, net::MsgKind kind) {
       [this](net::Message&& reply) { on_grant(std::move(reply)); });
 }
 
-void BroadcastManager::route_request(net::Message&& msg, PageId page) {
-  // Not the owner: a broadcast probe that is none of our business.  Still
-  // count it against the requester as a wasted probe hop — it is exactly
-  // the "every fault interrupts every processor" cost the ablation bench
-  // quantifies.
-  IVY_PROF(svm_.stats(), note_hop(msg.origin, page));
-  svm_.rpc().ignore(msg);
+void BroadcastManager::route_request(net::Message&&, PageId) {
+  // Every request here is a probe: a broadcast copy at a non-owner is
+  // dropped on receipt and a held one is passed on by on_fault_request.
+  IVY_UNREACHABLE("broadcast manager routes only probes");
 }
 
 }  // namespace ivy::svm

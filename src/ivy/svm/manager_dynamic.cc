@@ -58,38 +58,13 @@ void DynamicDistributedManager::route_request(net::Message&& msg,
   }
   const NodeId next = entry.prob_owner;
   IVY_CHECK_NE(next, svm_.self());
-  // next == msg.origin is possible for rerouted/retransmitted requests
-  // whose era the hints already passed; the origin's dispatch recognizes
+  // next == msg.origin is possible for retransmitted or duplicated
+  // requests whose era the hints already passed; the origin's dispatch recognizes
   // its own request and re-issues along its fresher hint.
   if (msg.kind == net::MsgKind::kWriteFault && next != msg.origin) {
     entry.prob_owner = msg.origin;
   }
-  IVY_PROF(svm_.stats(), note_hop(msg.origin, page));
-  note_forward(msg, page, next);
-  svm_.rpc().forward(std::move(msg), next);
-}
-
-void DynamicDistributedManager::park(net::Message&& msg, PageId page) {
-  Manager::park(std::move(msg), page);
-  // An owner (or a node with a pending outbound transfer) serves its
-  // queue when it settles.  A *non-owner* holding requests is only a
-  // waypoint: crossing probOwner rewrites can make two concurrent write
-  // faulters park each other's requests and deadlock.  Re-route parked
-  // requests along the (meanwhile improved) hint chain after a short
-  // delay.
-  PageEntry& entry = svm_.table().at(page);
-  if (entry.owned || entry.reroute_armed) return;
-  entry.reroute_armed = true;
-  svm_.simulator().schedule_after(ms(25), [this, page] {
-    PageEntry& e = svm_.table().at(page);
-    e.reroute_armed = false;
-    if (!e.busy() || e.owned || svm_.transfer_pending(page)) {
-      return;  // settled (or about to serve); the normal replay handles it
-    }
-    auto parked = std::move(e.deferred_requests);
-    e.deferred_requests.clear();
-    for (net::Message& m : parked) route_request(std::move(m), page);
-  });
+  forward(std::move(msg), page, next);
 }
 
 }  // namespace ivy::svm

@@ -15,8 +15,6 @@
 // manager-side locks.
 #include "ivy/svm/manager.h"
 
-#include "ivy/prof/prof.h"
-
 namespace ivy::svm {
 
 OwnerMapManager::OwnerMapManager(Svm& svm, bool distributed)
@@ -83,10 +81,7 @@ void OwnerMapManager::route_request(net::Message&& msg, PageId page) {
     // It may equal msg.origin (stale routing); the origin re-issues.
     next = svm_.table().at(page).prob_owner;
   }
-  IVY_CHECK_NE(next, svm_.self());
-  IVY_PROF(svm_.stats(), note_hop(msg.origin, page));
-  note_forward(msg, page, next);
-  svm_.rpc().forward(std::move(msg), next);
+  forward(std::move(msg), page, next);
 }
 
 void OwnerMapManager::note_write_grant(PageId page, NodeId new_owner) {

@@ -128,12 +128,6 @@ struct PageEntry {
   /// Remote requests that arrived while this node was mid-fault on the
   /// page; replayed once the fault completes.
   std::deque<net::Message> deferred_requests;
-  /// A reroute sweep for the deferred queue is scheduled (dynamic
-  /// manager only, see DynamicDistributedManager::park: requests held by
-  /// a non-owner are re-routed along the probOwner chain so that two
-  /// concurrent write faults deferring each other's requests cannot
-  /// deadlock).
-  bool reroute_armed = false;
 };
 
 class PageTable {

@@ -30,6 +30,10 @@ struct FaultPayload {
   /// receiving processor ... useful for broadcasting page fault requests
   /// to locate page owners"): only the owner reacts, nobody forwards.
   bool broadcast = false;
+  /// A busy owner held this broadcast copy and replays it as the
+  /// request's only live copy: it waits only at an owner and is passed
+  /// along probOwner everywhere else.
+  bool held = false;
   /// Version of the read copy advertised by has_copy.  The owner elides
   /// the page body only when this matches its current version — a copy
   /// granted under an older ownership era must be re-shipped in full.

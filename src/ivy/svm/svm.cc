@@ -226,6 +226,12 @@ void Svm::complete_fault(PageId page) {
   IVY_PROF(stats_,
            end_wait(self_, prof::Domain::kPageFault, page, sim_.now()));
   if (level != Access::kNil) {
+    // The fault may have ended through an absorbed grant while its own
+    // request was still out.  Retire that request: left outstanding it
+    // retransmits past the fault's end, and its reply would be taken for
+    // the grant of this node's next fault on the page.  A reply that
+    // still arrives goes to the orphan absorber.
+    rpc_.cancel(entry.fault_rpc);
     // kNil marks protocol-internal holds (disk restore, outbound
     // transfer), which account for themselves at their own sites.
     const Time dur = sim_.now() - started;

@@ -55,6 +55,7 @@ Artifacts run_traced_workload() {
     });
   }
   const Time elapsed = rt.run();
+  rt.final_audit();
 
   Artifacts a;
   a.trace_path = testing::TempDir() + "ivy_analyze_test_trace.json";

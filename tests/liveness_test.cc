@@ -1,13 +1,17 @@
-// Fault-free liveness of the owner-map managers (centralized and fixed
-// distributed): on a healthy network a run must not lean on the recovery
-// machinery.  Contended writers are serialized by the page's manager and
-// wait in their predecessor's deferred queue, so every fault is located
-// in a bounded number of hops — no retransmission, no terminal rpc
-// failure, and no forwarding storm.
+// Fault-free liveness of every manager: on a healthy network a run must
+// not lean on the recovery machinery.  No retransmission, no terminal rpc
+// failure, and no forwarding storm:
+//   - owner-map managers (centralized, fixed): contended writers are
+//     serialized by the page's manager and wait in their predecessor's
+//     deferred queue;
+//   - dynamic: the paper's distributed queue — a write faulter holds the
+//     requests the probOwner rewrites send its way, with no timer;
+//   - broadcast: a busy owner holds the probe instead of dropping it, so
+//     no requester waits for a retransmission.
 //
 // The inputs are the contended points that once sent these managers into
-// a forwarding storm: jacobi n=128 at N=8, and dotprod on the scatter
-// permutations drawn by seeds 2 and 6.
+// a forwarding storm or a retransmission wait: jacobi n=128 at N=8, and
+// dotprod on the scatter permutations drawn by seeds 2 and 6.
 #include <gtest/gtest.h>
 
 #include <ostream>
@@ -46,9 +50,9 @@ RunOutcome dotprod_scatter(Runtime& rt) {
   return run_dotprod(rt, p);
 }
 
-class OwnerMapLiveness : public testing::TestWithParam<Case> {};
+class ZeroFaultLiveness : public testing::TestWithParam<Case> {};
 
-TEST_P(OwnerMapLiveness, NoRecoveryOnHealthyNetwork) {
+TEST_P(ZeroFaultLiveness, NoRecoveryOnHealthyNetwork) {
   Config cfg;
   cfg.nodes = 8;
   cfg.heap_pages = 24576;
@@ -64,13 +68,26 @@ TEST_P(OwnerMapLiveness, NoRecoveryOnHealthyNetwork) {
   const std::uint64_t faults =
       c.get(Counter::kReadFaults) + c.get(Counter::kWriteFaults);
   EXPECT_GT(faults, 0u);
-  EXPECT_LE(c.get(Counter::kForwards), 2 * faults);
+  if (GetParam().manager != svm::ManagerKind::kBroadcast) {
+    // Unicast managers: a fault is located in about one hop.
+    EXPECT_LE(c.get(Counter::kForwards), 2 * faults);
+  } else {
+    // Broadcast forwards only held probes.  Each hop trails one ownership
+    // transfer of the page (the releasing node passes the probe to the
+    // node it handed the page to), and each node has one live probe per
+    // page, so at most N-2 probes — all but the releasing node's and the
+    // new owner's — trail any one transfer.  (jacobi here: 2929 forwards
+    // for 933 transfers and 1136 faults.)
+    EXPECT_LE(c.get(Counter::kForwards),
+              (rt.nodes() - 2) * c.get(Counter::kOwnershipTransfers));
+  }
 }
 
 std::vector<Case> cases() {
   std::vector<Case> out;
-  for (const svm::ManagerKind m : {svm::ManagerKind::kCentralized,
-                                   svm::ManagerKind::kFixedDistributed}) {
+  for (const svm::ManagerKind m :
+       {svm::ManagerKind::kCentralized, svm::ManagerKind::kFixedDistributed,
+        svm::ManagerKind::kDynamicDistributed, svm::ManagerKind::kBroadcast}) {
     out.push_back({"jacobi", m, jacobi_contended});
     out.push_back({"dotprod_seed2", m, dotprod_scatter<2>});
     out.push_back({"dotprod_seed6", m, dotprod_scatter<6>});
@@ -79,7 +96,7 @@ std::vector<Case> cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Contended, OwnerMapLiveness, testing::ValuesIn(cases()),
+    Contended, ZeroFaultLiveness, testing::ValuesIn(cases()),
     [](const testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name) + "_" +
              svm::to_string(info.param.manager);

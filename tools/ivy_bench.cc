@@ -21,6 +21,11 @@
 // virtual time (verification drains the simulator a little further, so
 // accounted >= elapsed); the per-node categories sum to accounted_ns
 // exactly, which ivy-analyze --bench asserts.
+//
+// Exit status: 0 when every point verified; 1 when a point failed
+// verification or leaned on the recovery machinery — the sweep injects
+// no faults, so any retransmission or terminal rpc failure is a
+// liveness bug; 2 on bad usage or I/O error.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -28,12 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "ivy/apps/dotprod.h"
-#include "ivy/apps/jacobi.h"
-#include "ivy/apps/matmul.h"
-#include "ivy/apps/msort.h"
-#include "ivy/apps/pde3d.h"
-#include "ivy/apps/tsp.h"
+#include "ivy/apps/sweep.h"
 #include "ivy/ivy.h"
 
 namespace {
@@ -54,47 +54,6 @@ constexpr ManagerChoice kManagers[] = {
     {"dynamic", ivy::svm::ManagerKind::kDynamicDistributed},
     {"broadcast", ivy::svm::ManagerKind::kBroadcast},
 };
-
-constexpr const char* kWorkloads[] = {"jacobi", "matmul", "pde3d",
-                                      "tsp",    "dotprod", "msort"};
-
-ivy::apps::RunOutcome run_workload(Runtime& rt, const std::string& name,
-                                   bool reduced) {
-  using namespace ivy::apps;
-  if (name == "jacobi") {
-    JacobiParams p;
-    p.n = reduced ? 64 : 128;
-    p.iterations = reduced ? 3 : 6;
-    return run_jacobi(rt, p);
-  }
-  if (name == "matmul") {
-    MatmulParams p;
-    p.n = reduced ? 32 : 48;
-    return run_matmul(rt, p);
-  }
-  if (name == "pde3d") {
-    Pde3dParams p;
-    p.m = reduced ? 12 : 20;
-    p.iterations = reduced ? 2 : 4;
-    return run_pde3d(rt, p);
-  }
-  if (name == "tsp") {
-    TspParams p;
-    p.cities = reduced ? 9 : 10;
-    return run_tsp(rt, p);
-  }
-  if (name == "dotprod") {
-    DotprodParams p;
-    p.n = reduced ? 4096 : 8192;
-    return run_dotprod(rt, p);
-  }
-  if (name == "msort") {
-    MsortParams p;
-    p.records = reduced ? 2048 : 4096;
-    return run_msort(rt, p);
-  }
-  return {};
-}
 
 bool split_list(const char* text, std::vector<std::string>* out) {
   std::string item;
@@ -155,11 +114,12 @@ int main(int argc, char** argv) {
                           : std::vector<NodeId>{1, 2, 4, 8};
   }
   if (workloads.empty()) {
-    workloads.assign(std::begin(kWorkloads), std::end(kWorkloads));
+    workloads.assign(ivy::apps::kSweepWorkloads.begin(),
+                     ivy::apps::kSweepWorkloads.end());
   }
   for (const std::string& w : workloads) {
     bool known = false;
-    for (const char* k : kWorkloads) known |= w == k;
+    for (const char* k : ivy::apps::kSweepWorkloads) known |= w == k;
     if (!known) {
       std::fprintf(stderr, "ivy-bench: unknown workload %s\n", w.c_str());
       return 2;
@@ -195,20 +155,17 @@ int main(int argc, char** argv) {
   const auto& cat_names = ivy::prof::cat_names();
   bool first_point = true;
   bool all_verified = true;
+  bool all_live = true;
   for (const std::string& workload : workloads) {
     for (const ManagerChoice& manager : manager_choices) {
       for (const NodeId nodes : node_counts) {
-        Config cfg;
-        cfg.nodes = nodes;
-        cfg.heap_pages = 24576;
-        cfg.stack_region_pages = 64;
-        cfg.manager = manager.kind;
+        Config cfg = ivy::apps::sweep_config(nodes, manager.kind);
         cfg.prof_enabled = true;
         cfg.name = workload + "/" + manager.name + "/nodes=" +
                    std::to_string(nodes);
         auto rt = std::make_unique<Runtime>(std::move(cfg));
         const ivy::apps::RunOutcome outcome =
-            run_workload(*rt, workload, reduced);
+            ivy::apps::run_sweep_workload(*rt, workload, reduced);
         all_verified &= outcome.verified;
 
         // run() snapshots the attribution at the program's finish line,
@@ -247,6 +204,17 @@ int main(int argc, char** argv) {
             << "      \"hops_write\": " << hops_write << ",\n";
         out << "      \"counters\": {";
         const ivy::CounterBlock agg = rt->stats().aggregate();
+        const auto retx = agg.get(ivy::Counter::kRetransmissions);
+        const auto rpc_failures = agg.get(ivy::Counter::kRpcFailures);
+        if (retx != 0 || rpc_failures != 0) {
+          std::fprintf(stderr,
+                       "ivy-bench: %s: %llu retransmissions, %llu rpc "
+                       "failures on a fault-free network\n",
+                       rt->config().name.c_str(),
+                       static_cast<unsigned long long>(retx),
+                       static_cast<unsigned long long>(rpc_failures));
+          all_live = false;
+        }
         bool first_counter = true;
         for (std::size_t c = 0; c < ivy::kCounterCount; ++c) {
           const auto v = agg.get(static_cast<ivy::Counter>(c));
@@ -278,6 +246,11 @@ int main(int argc, char** argv) {
   std::printf("wrote %s\n", out_path.c_str());
   if (!all_verified) {
     std::fprintf(stderr, "ivy-bench: some workloads FAILED verification\n");
+    return 1;
+  }
+  if (!all_live) {
+    std::fprintf(stderr,
+                 "ivy-bench: some points retransmitted or failed an rpc\n");
     return 1;
   }
   return out ? 0 : 2;
