@@ -6,22 +6,10 @@
 namespace ivy::fault {
 namespace {
 
-/// Roster used to resolve /kind= names; keep in sync with net::MsgKind.
-constexpr net::MsgKind kAllKinds[] = {
-    net::MsgKind::kRpcReply,      net::MsgKind::kReadFault,
-    net::MsgKind::kWriteFault,    net::MsgKind::kInvalidate,
-    net::MsgKind::kInvalidateBcast, net::MsgKind::kGrantAck,
-    net::MsgKind::kPageOut,       net::MsgKind::kMigrateAsk,
-    net::MsgKind::kMigrateMove,   net::MsgKind::kRemoteResume,
-    net::MsgKind::kProcForwarded, net::MsgKind::kLoadHint,
-    net::MsgKind::kAllocRequest,  net::MsgKind::kFreeRequest,
-    net::MsgKind::kEcWakeup,
-};
-
 bool parse_kind(const std::string& name, net::MsgKind* out) {
-  for (net::MsgKind k : kAllKinds) {
-    if (name == net::to_string(k)) {
-      *out = k;
+  for (const net::MsgKindName& k : net::kMsgKindNames) {
+    if (k.kind != net::MsgKind::kInvalid && name == k.name) {
+      *out = k.kind;
       return true;
     }
   }

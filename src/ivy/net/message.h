@@ -30,7 +30,6 @@ enum class MsgKind : std::uint16_t {
   kInvalidateBcast = 0x103, ///< broadcast invalidation variant
   kGrantAck = 0x104,        ///< new owner → old owner: transfer landed
   kGrantPush = 0x105,       ///< old owner re-offers an unacked grant
-  kPageOut = 0x110,         ///< (unused on the wire; disk is node-local)
 
   // process management
   kMigrateAsk = 0x200,      ///< idle node → loaded node: give me work
@@ -45,6 +44,32 @@ enum class MsgKind : std::uint16_t {
 
   // eventcount remote operations
   kEcWakeup = 0x400,
+};
+
+/// The roster of kinds with their names: to_string() and the fault
+/// spec's /kind= parser both read it, so a kind listed here is nameable
+/// everywhere.
+struct MsgKindName {
+  MsgKind kind;
+  const char* name;
+};
+inline constexpr MsgKindName kMsgKindNames[] = {
+    {MsgKind::kInvalid, "invalid"},
+    {MsgKind::kRpcReply, "rpc_reply"},
+    {MsgKind::kReadFault, "read_fault"},
+    {MsgKind::kWriteFault, "write_fault"},
+    {MsgKind::kInvalidate, "invalidate"},
+    {MsgKind::kInvalidateBcast, "invalidate_bcast"},
+    {MsgKind::kGrantAck, "grant_ack"},
+    {MsgKind::kGrantPush, "grant_push"},
+    {MsgKind::kMigrateAsk, "migrate_ask"},
+    {MsgKind::kMigrateMove, "migrate_move"},
+    {MsgKind::kRemoteResume, "remote_resume"},
+    {MsgKind::kProcForwarded, "proc_forwarded"},
+    {MsgKind::kLoadHint, "load_hint"},
+    {MsgKind::kAllocRequest, "alloc_request"},
+    {MsgKind::kFreeRequest, "free_request"},
+    {MsgKind::kEcWakeup, "ec_wakeup"},
 };
 
 [[nodiscard]] const char* to_string(MsgKind kind);

@@ -9,24 +9,8 @@
 namespace ivy::net {
 
 const char* to_string(MsgKind kind) {
-  switch (kind) {
-    case MsgKind::kInvalid: return "invalid";
-    case MsgKind::kRpcReply: return "rpc_reply";
-    case MsgKind::kReadFault: return "read_fault";
-    case MsgKind::kWriteFault: return "write_fault";
-    case MsgKind::kInvalidate: return "invalidate";
-    case MsgKind::kInvalidateBcast: return "invalidate_bcast";
-    case MsgKind::kGrantAck: return "grant_ack";
-    case MsgKind::kGrantPush: return "grant_push";
-    case MsgKind::kPageOut: return "page_out";
-    case MsgKind::kMigrateAsk: return "migrate_ask";
-    case MsgKind::kMigrateMove: return "migrate_move";
-    case MsgKind::kRemoteResume: return "remote_resume";
-    case MsgKind::kProcForwarded: return "proc_forwarded";
-    case MsgKind::kLoadHint: return "load_hint";
-    case MsgKind::kAllocRequest: return "alloc_request";
-    case MsgKind::kFreeRequest: return "free_request";
-    case MsgKind::kEcWakeup: return "ec_wakeup";
+  for (const MsgKindName& k : kMsgKindNames) {
+    if (k.kind == kind) return k.name;
   }
   return "unknown";
 }

@@ -95,10 +95,10 @@ std::uint64_t Oracle::total_violations() const {
   return total;
 }
 
-void Oracle::note(NodeId node, PageId page, const char* what, std::uint64_t a,
-                  std::uint64_t b) {
+void Oracle::note(const svm::Event& e) {
   if (recent_.size() >= kRecentCapacity) recent_.pop_front();
-  recent_.push_back(Observed{now(), node, page, what, a, b});
+  recent_.push_back(Observed{now(), e});
+  recent_.back().event.image = {};  // valid only during on_event()
 }
 
 std::string Oracle::recent_events() const {
@@ -106,8 +106,11 @@ std::string Oracle::recent_events() const {
   os << "recent events (oldest first, window of " << kRecentCapacity
      << "):\n";
   for (const Observed& o : recent_) {
-    os << "  t=" << o.at << " node=" << o.node << " page=" << o.page << ' '
-       << o.what << " a=" << o.a << " b=" << o.b << '\n';
+    const svm::Event& e = o.event;
+    os << "  t=" << o.at << " node=" << e.node << " page=" << e.page << ' '
+       << svm::to_string(e.kind) << " peer=" << e.peer
+       << " version=" << e.version << " level=" << svm::to_string(e.level)
+       << '\n';
   }
   return os.str();
 }
@@ -314,226 +317,230 @@ void Oracle::final_audit() {
   }
 }
 
-// --- observer hooks --------------------------------------------------------
+// --- event stream ----------------------------------------------------------
 
-void Oracle::on_fault_start(NodeId node, PageId page, svm::Access want) {
-  note(node, page, "fault_start", static_cast<std::uint64_t>(want));
-  fault_hops_[fault_key(node, page)] = 0;
-}
-
-void Oracle::on_fault_complete(NodeId node, PageId page, svm::Access level) {
-  note(node, page, "fault_complete", static_cast<std::uint64_t>(level));
-  if (auto it = fault_hops_.find(fault_key(node, page));
-      it != fault_hops_.end()) {
-    chains_.add(it->second);
-    fault_hops_.erase(it);
+void Oracle::on_event(const svm::Event& e) {
+  using K = svm::EventKind;
+  // Disk faults and restores, local upgrades, evictions, grant re-offers
+  // and the end of kNil protocol holds move no token: the model skips
+  // them, and so does the context window.
+  switch (e.kind) {
+    case K::kDiskFault:
+    case K::kLocalUpgrade:
+    case K::kDiskRestore:
+    case K::kDiskRestored:
+    case K::kPagedOut:
+    case K::kCopyEvicted:
+    case K::kGrantReoffered:
+    case K::kCount:
+      return;
+    case K::kFaultComplete:
+      if (e.level == svm::Access::kNil) return;
+      break;
+    default:
+      break;
   }
-  check_page(page, false);
-}
-
-void Oracle::on_forward(NodeId node, PageId page, NodeId next, NodeId origin,
-                        bool write_fault) {
-  note(node, page, write_fault ? "forward_write" : "forward_read", next,
-       origin);
-  if (auto it = fault_hops_.find(fault_key(origin, page));
-      it != fault_hops_.end()) {
-    ++it->second;
+  note(e);
+  PageModel& m = pages_[e.page];
+  switch (e.kind) {
+    case K::kFaultStart:
+      fault_hops_[fault_key(e.node, e.page)] = 0;
+      return;
+    case K::kFaultComplete:
+      if (auto it = fault_hops_.find(fault_key(e.node, e.page));
+          it != fault_hops_.end()) {
+        chains_.add(it->second);
+        fault_hops_.erase(it);
+      }
+      break;
+    case K::kForward:  // peer = the request's origin
+      if (auto it = fault_hops_.find(fault_key(e.peer, e.page));
+          it != fault_hops_.end()) {
+        ++it->second;
+      }
+      return;
+    case K::kWriteServed:
+      write_served(e);
+      break;
+    case K::kOwnershipGained:
+      ownership_gained(e);
+      break;
+    case K::kOwnershipReleased:
+      ownership_released(e);
+      break;
+    case K::kTransferAborted:
+      transfer_aborted(e);
+      break;
+    case K::kPageDetached:
+      page_detached(e);
+      break;
+    case K::kInvalidateStart:
+      ++m.inval_rounds;
+      m.version = std::max(m.version, e.version);
+      return;
+    case K::kInvalidateDone:
+      if (m.inval_rounds == 0) {
+        violate(Invariant::kTransferProtocol, e.page,
+                "invalidation round completed that never started");
+      } else {
+        --m.inval_rounds;
+      }
+      break;
+    case K::kCopyDropped:
+      m.version = std::max(m.version, e.version);
+      break;
+    case K::kGrantResent:
+    case K::kCopyReceived:
+      check_content(e);
+      return;
+    default:  // kReadServed
+      break;
   }
+  check_page(e.page, false);
+  check_content(e);
 }
 
-void Oracle::on_read_served(NodeId server, PageId page, NodeId reader) {
-  note(server, page, "read_served", reader);
-  check_page(page, false);
-}
-
-void Oracle::on_write_served(NodeId owner, PageId page, NodeId to,
-                             std::uint64_t version) {
-  note(owner, page, "write_served", to, version);
-  PageModel& m = pages_[page];
+void Oracle::write_served(const svm::Event& e) {
+  const NodeId owner = e.node;
+  PageModel& m = pages_[e.page];
   if (m.migrating) {
-    violate(Invariant::kTransferProtocol, page,
+    violate(Invariant::kTransferProtocol, e.page,
             "write grant served during a migration handoff");
   }
   if (m.owner != kNoNode && m.owner != owner) {
     std::ostringstream os;
     os << "write grant served by node " << owner
        << " but the model places the owner at node " << m.owner;
-    violate(Invariant::kTransferProtocol, page, os.str());
+    violate(Invariant::kTransferProtocol, e.page, os.str());
   }
   // Transfers chain: earlier grantors may still await their release
   // acks, but the *serving* node must be the chain's head — it cannot
   // have an outgoing grant open, nor serve before confirming its own.
   for (const Transfer& t : m.transfers) {
     if (t.from == owner) {
-      violate(Invariant::kTransferProtocol, page,
+      violate(Invariant::kTransferProtocol, e.page,
               "node served a second write grant before releasing the first");
     } else if (t.to == owner && !t.gained) {
-      violate(Invariant::kTransferProtocol, page,
+      violate(Invariant::kTransferProtocol, e.page,
               "node served a write grant before confirming its own");
     }
   }
-  m.transfers.push_back(Transfer{owner, to, version, false});
-  m.version = std::max(m.version, version);
-  check_page(page, false);
+  m.transfers.push_back(Transfer{owner, e.peer, e.version, false});
+  m.version = std::max(m.version, e.version);
 }
 
-void Oracle::on_ownership_gained(NodeId node, PageId page, NodeId from,
-                                 std::uint64_t version) {
-  note(node, page, "ownership_gained", from, version);
-  PageModel& m = pages_[page];
+void Oracle::ownership_gained(const svm::Event& e) {
+  PageModel& m = pages_[e.page];
+  if (e.peer == kNoNode) {
+    // Migration adopt: completes the handoff page_detached opened.
+    if (!m.migrating || m.migrate_to != e.node || m.version != e.version) {
+      std::ostringstream os;
+      os << "node " << e.node << " adopted at version " << e.version
+         << " without a matching detach";
+      violate(Invariant::kTransferProtocol, e.page, os.str());
+    }
+    m.migrating = false;
+    m.migrate_to = kNoNode;
+    m.owner = e.node;
+    m.version = std::max(m.version, e.version);
+    return;
+  }
   auto it = std::find_if(m.transfers.begin(), m.transfers.end(),
                          [&](const Transfer& t) {
-                           return t.to == node && t.from == from &&
-                                  t.version == version && !t.gained;
+                           return t.to == e.node && t.from == e.peer &&
+                                  t.version == e.version && !t.gained;
                          });
   if (it == m.transfers.end()) {
     std::ostringstream os;
-    os << "node " << node << " gained ownership at version " << version
+    os << "node " << e.node << " gained ownership at version " << e.version
        << " without a matching open transfer";
-    violate(Invariant::kTransferProtocol, page, os.str());
+    violate(Invariant::kTransferProtocol, e.page, os.str());
   } else {
     it->gained = true;
-    m.owner = node;  // the token's confirmed holder moves with the grant
+    m.owner = e.node;  // the token's confirmed holder moves with the grant
   }
-  m.version = std::max(m.version, version);
-  check_page(page, false);
+  m.version = std::max(m.version, e.version);
 }
 
-void Oracle::on_ownership_released(NodeId node, PageId page, NodeId to,
-                                   std::uint64_t version) {
-  note(node, page, "ownership_released", to, version);
-  PageModel& m = pages_[page];
+void Oracle::ownership_released(const svm::Event& e) {
+  PageModel& m = pages_[e.page];
   auto it = std::find_if(m.transfers.begin(), m.transfers.end(),
                          [&](const Transfer& t) {
-                           return t.from == node && t.to == to &&
-                                  t.version == version;
+                           return t.from == e.node && t.to == e.peer &&
+                                  t.version == e.version;
                          });
   if (it == m.transfers.end()) {
     std::ostringstream os;
-    os << "node " << node << " released ownership at version " << version
+    os << "node " << e.node << " released ownership at version " << e.version
        << " without a matching open transfer";
-    violate(Invariant::kTransferProtocol, page, os.str());
+    violate(Invariant::kTransferProtocol, e.page, os.str());
   } else {
     if (!it->gained) {
-      violate(Invariant::kTransferProtocol, page,
+      violate(Invariant::kTransferProtocol, e.page,
               "transfer completed before the new owner confirmed the grant");
     }
     m.transfers.erase(it);
   }
-  m.version = std::max(m.version, version);
-  check_page(page, false);
+  m.version = std::max(m.version, e.version);
 }
 
-void Oracle::on_transfer_aborted(NodeId node, PageId page,
-                                 std::uint64_t version) {
-  note(node, page, "transfer_aborted", version);
-  PageModel& m = pages_[page];
+void Oracle::transfer_aborted(const svm::Event& e) {
+  PageModel& m = pages_[e.page];
   auto it = std::find_if(m.transfers.begin(), m.transfers.end(),
                          [&](const Transfer& t) {
-                           return t.from == node && t.version == version;
+                           return t.from == e.node && t.version == e.version;
                          });
   if (it == m.transfers.end()) {
-    violate(Invariant::kTransferProtocol, page,
+    violate(Invariant::kTransferProtocol, e.page,
             "abort without a matching open transfer");
-  } else {
-    if (it->gained) {
-      // The ring is FIFO, so a reject ack can never overtake the accept
-      // of the same grant; an abort after the new owner mapped the page
-      // would leave two permanent owners.
-      violate(Invariant::kTransferProtocol, page,
-              "transfer aborted after the new owner confirmed the grant");
-    }
-    m.transfers.erase(it);
+    return;
   }
-  check_page(page, false);
+  if (it->gained) {
+    // The ring is FIFO, so a reject ack can never overtake the accept of
+    // the same grant; an abort after the new owner mapped the page would
+    // leave two permanent owners.
+    violate(Invariant::kTransferProtocol, e.page,
+            "transfer aborted after the new owner confirmed the grant");
+  }
+  m.transfers.erase(it);
 }
 
-void Oracle::on_page_detached(NodeId node, PageId page, NodeId new_owner,
-                              std::uint64_t version) {
-  note(node, page, "page_detached", new_owner, version);
-  PageModel& m = pages_[page];
+void Oracle::page_detached(const svm::Event& e) {
+  PageModel& m = pages_[e.page];
   if (!m.transfers.empty() || m.migrating) {
-    violate(Invariant::kTransferProtocol, page,
+    violate(Invariant::kTransferProtocol, e.page,
             "migration handoff during another transfer");
   }
-  if (m.owner != kNoNode && m.owner != node) {
+  if (m.owner != kNoNode && m.owner != e.node) {
     std::ostringstream os;
-    os << "node " << node << " detached a page the model places at node "
+    os << "node " << e.node << " detached a page the model places at node "
        << m.owner;
-    violate(Invariant::kTransferProtocol, page, os.str());
+    violate(Invariant::kTransferProtocol, e.page, os.str());
   }
   m.migrating = true;
-  m.migrate_to = new_owner;
-  m.version = std::max(m.version, version);
-  check_page(page, false);
+  m.migrate_to = e.peer;
+  m.version = std::max(m.version, e.version);
 }
 
-void Oracle::on_page_adopted(NodeId node, PageId page,
-                             std::uint64_t version) {
-  note(node, page, "page_adopted", version);
-  PageModel& m = pages_[page];
-  if (!m.migrating || m.migrate_to != node || m.version != version) {
-    std::ostringstream os;
-    os << "node " << node << " adopted at version " << version
-       << " without a matching detach";
-    violate(Invariant::kTransferProtocol, page, os.str());
-  }
-  m.migrating = false;
-  m.migrate_to = kNoNode;
-  m.owner = node;
-  m.version = std::max(m.version, version);
-  check_page(page, false);
-}
-
-void Oracle::on_invalidate_round(NodeId node, PageId page,
-                                 std::uint64_t version, int copies) {
-  note(node, page, "invalidate_round", version,
-       static_cast<std::uint64_t>(copies));
-  PageModel& m = pages_[page];
-  ++m.inval_rounds;
-  m.version = std::max(m.version, version);
-}
-
-void Oracle::on_invalidate_round_done(NodeId node, PageId page,
-                                      std::uint64_t version) {
-  note(node, page, "invalidate_round_done", version);
-  PageModel& m = pages_[page];
-  if (m.inval_rounds == 0) {
-    violate(Invariant::kTransferProtocol, page,
-            "invalidation round completed that never started");
-  } else {
-    --m.inval_rounds;
-  }
-  check_page(page, false);
-}
-
-void Oracle::on_copy_dropped(NodeId node, PageId page, NodeId new_owner,
-                             std::uint64_t version) {
-  note(node, page, "copy_dropped", new_owner, version);
-  PageModel& m = pages_[page];
-  m.version = std::max(m.version, version);
-  check_page(page, false);
-}
-
-void Oracle::on_page_content(NodeId node, PageId page, std::uint64_t version,
-                             std::span<const std::byte> bytes,
-                             bool at_source) {
-  note(node, page, at_source ? "content_source" : "content_sink", version,
-       bytes.size());
-  PageModel& m = pages_[page];
-  if (at_source) {
-    m.content_version = version;
-    m.content_checksum = fnv1a(bytes);
+void Oracle::check_content(const svm::Event& e) {
+  if (e.image.empty()) return;
+  PageModel& m = pages_[e.page];
+  // The shipping side records the image it vouches for at this version;
+  // the installing side must hold the same bytes.
+  if (e.kind != svm::EventKind::kCopyReceived &&
+      e.kind != svm::EventKind::kOwnershipGained) {
+    m.content_version = e.version;
+    m.content_checksum = fnv1a(e.image);
     m.has_checksum = true;
     return;
   }
-  if (!m.has_checksum || m.content_version != version) return;
+  if (!m.has_checksum || m.content_version != e.version) return;
   ++content_checks_;
-  if (fnv1a(bytes) != m.content_checksum) {
+  if (fnv1a(e.image) != m.content_checksum) {
     std::ostringstream os;
-    os << "image installed at node " << node << " (version " << version
+    os << "image installed at node " << e.node << " (version " << e.version
        << ") differs from the source's checksum";
-    violate(Invariant::kContentIntegrity, page, os.str());
+    violate(Invariant::kContentIntegrity, e.page, os.str());
   }
 }
 

@@ -1,7 +1,7 @@
 // ivy::oracle — online coherence invariant checker.
 //
-// A global observer outside the simulated machines: it subscribes to the
-// SVM layer's state transitions (svm::CoherenceObserver), keeps a tiny
+// A global observer outside the simulated machines: it consumes the SVM
+// layer's stream of protocol transitions (svm::EventSink), keeps a tiny
 // reference model of where each page's ownership token *should* be, and
 // after every state-changing transition re-checks the protocol
 // invariants across all nodes at zero simulated cost:
@@ -38,7 +38,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ivy/svm/observer.h"
+#include "ivy/svm/event.h"
+
+namespace ivy::svm {
+class Svm;
+}  // namespace ivy::svm
 
 namespace ivy::oracle {
 
@@ -86,7 +90,7 @@ struct ChainHistogram {
   }
 };
 
-class Oracle final : public svm::CoherenceObserver {
+class Oracle final : public svm::EventSink {
  public:
   Oracle(Mode mode, NodeId nodes, PageId num_pages, NodeId initial_owner);
 
@@ -120,35 +124,12 @@ class Oracle final : public svm::CoherenceObserver {
   /// steady-state invariants.
   void final_audit();
 
-  // --- CoherenceObserver --------------------------------------------------
+  /// A node's Svm came up; called once per node before the run starts.
+  void attach(svm::Svm* svm);
 
-  void attach(svm::Svm* svm) override;
-  void on_fault_start(NodeId node, PageId page, svm::Access want) override;
-  void on_fault_complete(NodeId node, PageId page, svm::Access level) override;
-  void on_forward(NodeId node, PageId page, NodeId next, NodeId origin,
-                  bool write_fault) override;
-  void on_read_served(NodeId server, PageId page, NodeId reader) override;
-  void on_write_served(NodeId owner, PageId page, NodeId to,
-                       std::uint64_t version) override;
-  void on_ownership_gained(NodeId node, PageId page, NodeId from,
-                           std::uint64_t version) override;
-  void on_ownership_released(NodeId node, PageId page, NodeId to,
-                             std::uint64_t version) override;
-  void on_transfer_aborted(NodeId node, PageId page,
-                           std::uint64_t version) override;
-  void on_page_detached(NodeId node, PageId page, NodeId new_owner,
-                        std::uint64_t version) override;
-  void on_page_adopted(NodeId node, PageId page,
-                       std::uint64_t version) override;
-  void on_invalidate_round(NodeId node, PageId page, std::uint64_t version,
-                           int copies) override;
-  void on_invalidate_round_done(NodeId node, PageId page,
-                                std::uint64_t version) override;
-  void on_copy_dropped(NodeId node, PageId page, NodeId new_owner,
-                       std::uint64_t version) override;
-  void on_page_content(NodeId node, PageId page, std::uint64_t version,
-                       std::span<const std::byte> bytes,
-                       bool at_source) override;
+  /// svm::EventSink: advances the model by one transition and re-checks
+  /// the page.  Kinds the model does not track are ignored.
+  void on_event(const svm::Event& e) override;
 
  private:
   /// One open two-phase ownership transfer.  Transfers *chain*: the new
@@ -178,15 +159,18 @@ class Oracle final : public svm::CoherenceObserver {
 
   struct Observed {
     Time at = 0;
-    NodeId node = kNoNode;
-    PageId page = kNoPage;
-    const char* what = "";
-    std::uint64_t a = 0;
-    std::uint64_t b = 0;
+    svm::Event event;
   };
 
-  void note(NodeId node, PageId page, const char* what, std::uint64_t a = 0,
-            std::uint64_t b = 0);
+  void note(const svm::Event& e);
+  // One handler per tracked transition, run after note().
+  void write_served(const svm::Event& e);
+  void ownership_gained(const svm::Event& e);
+  void ownership_released(const svm::Event& e);
+  void transfer_aborted(const svm::Event& e);
+  void page_detached(const svm::Event& e);
+  /// Records (source side) or verifies (installing side) the image.
+  void check_content(const svm::Event& e);
   void violate(Invariant inv, PageId page, const std::string& detail);
   /// Re-checks the cross-node invariants of one page against the model.
   /// `final_pass` demands full quiescence instead of gating the

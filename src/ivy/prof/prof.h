@@ -25,8 +25,8 @@
 // Like the oracle, the profiler lives outside the simulated machines:
 // marks cost no virtual time and may cross nodes (a serving node retags
 // the requester's fault wait into its transfer leg).  Everything is
-// null-pointer gated through IVY_PROF, so a run without --prof-out pays
-// one branch per instrumentation site.
+// null-pointer gated through IVY_PROF (the svm layer through Svm::emit),
+// so a run without --prof-out pays one branch per instrumentation site.
 #pragma once
 
 #include <array>
@@ -277,19 +277,12 @@ class Profiler {
 }  // namespace ivy::prof
 
 /// Cost-attribution entry point for instrumented modules: a single
-/// branch on Stats::prof() (nullptr unless profiling is armed), nothing
-/// at all under IVY_PROF_COMPILED_OUT.
+/// branch on Stats::prof() (nullptr unless profiling is armed).
 ///
-///   IVY_PROF(stats_, end_wait(self_, prof::Domain::kPageFault, page, now));
-#ifdef IVY_PROF_COMPILED_OUT
-#define IVY_PROF(stats, call) \
-  do {                        \
-  } while (0)
-#else
+///   IVY_PROF(stats_, end_wait(self_, prof::Domain::kRpc, id, now));
 #define IVY_PROF(stats, call)                                  \
   do {                                                         \
     if (::ivy::prof::Profiler* ivy_prof_p = (stats).prof()) {  \
       ivy_prof_p->call;                                        \
     }                                                          \
   } while (0)
-#endif

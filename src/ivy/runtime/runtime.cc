@@ -14,10 +14,9 @@ namespace {
 /// the user directly contacts" — node 0.
 constexpr NodeId kAllocNode = 0;
 
-svm::SvmOptions svm_options(const Config& cfg,
-                            svm::CoherenceObserver* observer) {
+svm::SvmOptions svm_options(const Config& cfg, svm::EventSink* sink) {
   svm::SvmOptions opts;
-  opts.observer = observer;
+  opts.sink = sink;
   opts.geo = cfg.geometry();
   opts.manager = cfg.manager;
   opts.manager_node = cfg.manager_node;

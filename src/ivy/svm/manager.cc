@@ -4,9 +4,6 @@
 #include <utility>
 
 #include "ivy/base/log.h"
-#include "ivy/prof/prof.h"
-#include "ivy/svm/observer.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::svm {
 namespace {
@@ -43,21 +40,9 @@ bool Manager::try_local_write_upgrade(PageId page) {
   // The on-disk case was peeled off as a disk fault before reaching here.
   IVY_CHECK(!entry.on_disk);
   IVY_CHECK(entry.access != Access::kNil);
-  svm_.stats().bump(svm_.self(), Counter::kLocalFaultHits);
+  svm_.emit({.kind = EventKind::kLocalUpgrade, .page = page});
   ++entry.version;
-  svm_.invalidate_copies(page, [this, page, ver = entry.version] {
-    PageEntry& e = svm_.table().at(page);
-    // Commit only if the round's world is still current: a duplicate
-    // grant can start a concurrent round at a newer version, and the
-    // page may have been granted away (or the fault completed) before
-    // this round's last ack lands — restoring write access then would
-    // fork the writer token.  The last-started round completes the
-    // fault; superseded rounds fall through.
-    if (!e.owned || e.version != ver || !e.fault_in_progress) return;
-    e.copyset.clear();
-    e.access = Access::kWrite;
-    svm_.complete_fault(page);
-  });
+  svm_.invalidate_for_write(page);
   return true;
 }
 
@@ -152,20 +137,8 @@ void Manager::serve_read(net::Message&& msg, PageId page) {
   grant.version = entry.version;
   grant.write_grant = false;
   grant.body = svm_.snapshot(page);  // a read fault always wants the data
-  svm_.stats().bump(svm_.self(), Counter::kPageTransfers);
-  IVY_EVT(svm_.stats(), record(svm_.self(), trace::EventKind::kPageSent, page,
-                               msg.origin));
-  // The requester's fault found the owner: its wait moves from the
-  // locate leg to the transfer leg (the profiler is global; the serving
-  // side may retag the requester's wait at zero virtual cost).
-  IVY_PROF(svm_.stats(),
-           retag_wait(msg.origin, prof::Domain::kPageFault, page,
-                      prof::Cat::kReadFaultTransfer,
-                      svm_.simulator().now()));
-  if (CoherenceObserver* obs = svm_.observer()) {
-    obs->on_read_served(svm_.self(), page, msg.origin);
-    svm_.notify_content(page, entry.version, /*at_source=*/true);
-  }
+  svm_.emit({.kind = EventKind::kReadServed, .page = page, .peer = msg.origin,
+             .version = entry.version, .body = Body::kShipped});
   svm_.rpc().reply_to(msg, grant, grant.wire_bytes());
 }
 
@@ -189,34 +162,21 @@ void Manager::serve_write(net::Message&& msg, PageId page) {
   grant.write_grant = true;
   grant.copyset = entry.copyset;
   grant.copyset.remove(msg.origin);
-  if (!requester_copy_valid) {
-    grant.body = svm_.snapshot(page);
-    svm_.stats().bump(svm_.self(), Counter::kPageTransfers);
-    IVY_EVT(svm_.stats(), record(svm_.self(), trace::EventKind::kPageSent,
-                                 page, msg.origin));
-  } else {
-    // In-place write upgrade: only the 32-byte grant header travels.
-    svm_.stats().bump(svm_.self(), Counter::kBodylessUpgrades);
-  }
-  svm_.stats().bump(svm_.self(), Counter::kOwnershipTransfers);
+  // A valid copy makes it an in-place upgrade: only the 32-byte header
+  // travels.
+  if (!requester_copy_valid) grant.body = svm_.snapshot(page);
 
   // Two-phase relinquish: keep the token and the data until the new
   // owner's kGrantAck; all requests for the page defer meanwhile.
   note_write_grant(page, msg.origin);
-  IVY_PROF(svm_.stats(),
-           retag_wait(msg.origin, prof::Domain::kPageFault, page,
-                      prof::Cat::kWriteFaultTransfer,
-                      svm_.simulator().now()));
   svm_.rpc().reply_to(msg, grant, grant.wire_bytes());
   svm_.begin_pending_transfer(page, msg.origin, entry.version,
                               requester_copy_valid);
-  if (CoherenceObserver* obs = svm_.observer()) {
-    obs->on_write_served(svm_.self(), page, msg.origin, entry.version);
-    // Report the held image even for a bodyless grant: the requester's
-    // surviving copy must match it, which is exactly the interesting
-    // integrity check.
-    svm_.notify_content(page, entry.version, /*at_source=*/true);
-  }
+  // A bodyless grant still puts the held image at stake: the requester's
+  // surviving copy must match it.
+  svm_.emit({.kind = EventKind::kWriteServed, .page = page, .peer = msg.origin,
+             .version = entry.version,
+             .body = requester_copy_valid ? Body::kElided : Body::kShipped});
 }
 
 void Manager::on_grant(net::Message&& reply) {
@@ -255,7 +215,9 @@ void Manager::on_grant(net::Message&& reply) {
     entry.access = Access::kRead;
     entry.version = grant.version;
     entry.prob_owner = reply.src;  // we now know the owner
-    svm_.notify_content(page, grant.version, /*at_source=*/false);
+    svm_.emit({.kind = EventKind::kCopyReceived, .page = page,
+               .peer = reply.src, .version = grant.version,
+               .body = Body::kShipped});
     svm_.complete_fault(page);
     return;
   }
@@ -295,26 +257,16 @@ void Manager::on_grant(net::Message&& reply) {
   svm_.send_grant_ack(reply.src, page, grant.version, /*accept=*/true);
   entry.owned = true;
   entry.version = grant.version;
-  IVY_EVT(svm_.stats(), record(svm_.self(), trace::EventKind::kOwnershipGained,
-                               page, reply.src));
   // Merge rather than overwrite: with distributed copysets this node may
   // itself have served readers, who must be invalidated with the rest.
   entry.copyset |= grant.copyset;
   entry.copyset.remove(svm_.self());
   entry.prob_owner = svm_.self();
   svm_.install_body(page, grant.body);
-  if (CoherenceObserver* obs = svm_.observer()) {
-    obs->on_ownership_gained(svm_.self(), page, reply.src, grant.version);
-    svm_.notify_content(page, grant.version, /*at_source=*/false);
-  }
-  svm_.invalidate_copies(page, [this, page, ver = entry.version] {
-    PageEntry& e = svm_.table().at(page);
-    // Superseded-round guard (see try_local_write_upgrade).
-    if (!e.owned || e.version != ver || !e.fault_in_progress) return;
-    e.copyset.clear();
-    e.access = Access::kWrite;
-    svm_.complete_fault(page);
-  });
+  svm_.emit({.kind = EventKind::kOwnershipGained, .page = page,
+             .peer = reply.src, .version = grant.version,
+             .body = grant.body != nullptr ? Body::kShipped : Body::kElided});
+  svm_.invalidate_for_write(page);
 }
 
 void Manager::note_write_grant(PageId, NodeId) {}
@@ -322,13 +274,9 @@ void Manager::note_write_grant(PageId, NodeId) {}
 void Manager::on_table_grown(PageId) {}
 
 void Manager::forward(net::Message&& msg, PageId page, NodeId next) {
-  IVY_PROF(svm_.stats(), note_hop(msg.origin, page));
-  IVY_EVT(svm_.stats(), record(svm_.self(), trace::EventKind::kForward, page,
-                               msg.origin));
-  if (CoherenceObserver* obs = svm_.observer()) {
-    obs->on_forward(svm_.self(), page, next, msg.origin,
-                    msg.kind == net::MsgKind::kWriteFault);
-  }
+  const bool write = msg.kind == net::MsgKind::kWriteFault;
+  svm_.emit({.kind = EventKind::kForward, .page = page, .peer = msg.origin,
+             .level = write ? Access::kWrite : Access::kRead});
   svm_.rpc().forward(std::move(msg), next);
 }
 
@@ -345,14 +293,7 @@ void Manager::retry_fault(PageId page, net::MsgKind kind) {
       return;
     }
     ++entry.version;
-    svm_.invalidate_copies(page, [this, page, ver = entry.version] {
-      PageEntry& e = svm_.table().at(page);
-      // Superseded-round guard (see try_local_write_upgrade).
-      if (!e.owned || e.version != ver || !e.fault_in_progress) return;
-      e.copyset.clear();
-      e.access = Access::kWrite;
-      svm_.complete_fault(page);
-    });
+    svm_.invalidate_for_write(page);
     return;
   }
   if (entry.bounce_count >= 2 && svm_.nodes() > 1) {

@@ -82,8 +82,8 @@ class Manager {
   /// broadcast — the fallback when hint chains degenerate into cycles.
   void broadcast_locate(PageId page, net::MsgKind kind);
 
-  /// Forwards a request this node cannot serve to `next`, recording the
-  /// routing hop (profiler, trace event, observer) first.
+  /// Forwards a request this node cannot serve to `next`, reporting the
+  /// routing hop (kForward) first.
   void forward(net::Message&& msg, PageId page, NodeId next);
 
   /// Re-drives an in-progress fault after its request bounced or its

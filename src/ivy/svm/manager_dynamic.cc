@@ -14,10 +14,7 @@
 //     hints at a node that never becomes owner breaks the
 //     "hints point forward in ownership time" invariant that guarantees
 //     chains terminate.
-#include "ivy/prof/prof.h"
 #include "ivy/svm/manager.h"
-#include "ivy/svm/observer.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::svm {
 
@@ -42,17 +39,8 @@ void DynamicDistributedManager::route_request(net::Message&& msg,
     grant.version = entry.version;
     grant.write_grant = false;
     grant.body = svm_.snapshot(page);
-    svm_.stats().bump(svm_.self(), Counter::kPageTransfers);
-    IVY_EVT(svm_.stats(), record(svm_.self(), trace::EventKind::kPageSent,
-                                 page, msg.origin));
-    if (CoherenceObserver* obs = svm_.observer()) {
-      obs->on_read_served(svm_.self(), page, msg.origin);
-      svm_.notify_content(page, entry.version, /*at_source=*/true);
-    }
-    IVY_PROF(svm_.stats(),
-             retag_wait(msg.origin, prof::Domain::kPageFault, page,
-                        prof::Cat::kReadFaultTransfer,
-                        svm_.simulator().now()));
+    svm_.emit({.kind = EventKind::kReadServed, .page = page, .peer = msg.origin,
+               .version = entry.version, .body = Body::kShipped});
     svm_.rpc().reply_to(msg, grant, grant.wire_bytes());
     return;
   }

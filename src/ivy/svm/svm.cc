@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "ivy/base/log.h"
-#include "ivy/prof/prof.h"
 #include "ivy/svm/manager.h"
-#include "ivy/svm/observer.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::svm {
 
@@ -30,7 +27,7 @@ Svm::Svm(sim::Simulator& sim, rpc::RemoteOp& rpc, Stats& stats, NodeId self,
       self_(self),
       nodes_(num_nodes),
       options_(options),
-      observer_(options.observer),
+      sink_(options.sink),
       table_(options.geo, options.initial_owner, self),
       pool_(stats, self, options.geo.page_size, options.frames_per_node,
             options.replacement, options.seed),
@@ -89,33 +86,15 @@ void Svm::request_access(PageId page, Access want,
   entry.fault_in_progress = true;
   entry.fault_level = want;
   entry.fault_start = sim_.now();
-  stats_.bump(self_, want == Access::kRead ? Counter::kReadFaults
-                                           : Counter::kWriteFaults);
-  // The fault starts in its locate leg; serving/invalidation sites retag
-  // the wait as the critical path advances, complete_fault ends it.
-  IVY_PROF(stats_, begin_wait(self_,
-                              want == Access::kRead
-                                  ? prof::Cat::kReadFaultLocate
-                                  : prof::Cat::kWriteFaultLocate,
-                              prof::Domain::kPageFault, page, sim_.now()));
   if (entry.owned && entry.on_disk) {
     // Owner's image was paged out: a plain disk fault, no protocol.
-    stats_.bump(self_, Counter::kLocalFaultHits);
+    emit({.kind = EventKind::kDiskFault, .page = page, .level = want});
     entry.fault_in_progress = false;  // begin_disk_restore re-arms it
     begin_disk_restore(page);
     return;
   }
-  if (observer_ != nullptr) observer_->on_fault_start(self_, page, want);
+  emit({.kind = EventKind::kFaultStart, .page = page, .level = want});
   manager_->start_fault(page, want);
-}
-
-void Svm::notify_content(PageId page, std::uint64_t version, bool at_source) {
-  if (observer_ == nullptr) return;
-  const std::byte* bytes = pool_.lookup(page);
-  if (bytes == nullptr) return;  // never-materialized zero page
-  observer_->on_page_content(
-      self_, page, version,
-      std::span<const std::byte>(bytes, options_.geo.page_size), at_source);
 }
 
 void Svm::read_bytes(SvmAddr addr, std::span<std::byte> out) {
@@ -170,10 +149,7 @@ void Svm::begin_disk_restore(PageId page) {
   entry.fault_in_progress = true;
   entry.fault_level = Access::kNil;
   entry.fault_start = sim_.now();
-  IVY_EVT(stats_, record(self_, trace::EventKind::kDiskFault, page));
-  // Upserts: a fault that peeled into a disk restore moves its wait here.
-  IVY_PROF(stats_, begin_wait(self_, prof::Cat::kDisk,
-                              prof::Domain::kPageFault, page, sim_.now()));
+  emit({.kind = EventKind::kDiskRestore, .page = page});
   stall_node(sim_.costs().disk_io);
   sim_.schedule_after(sim_.costs().disk_io, [this, page] {
     PageEntry& e = table_.at(page);
@@ -183,14 +159,10 @@ void Svm::begin_disk_restore(PageId page) {
     disk_.discard(page);
     e.on_disk = false;
     e.access = e.copyset.empty() ? Access::kWrite : Access::kRead;
-    // Sampled at IO completion, matching the kDiskRead span below — not
-    // at schedule time, which would timestamp the stall before it
-    // happened.
-    stats_.record_latency(self_, Hist::kDiskStall, sim_.costs().disk_io);
-    IVY_EVT(stats_,
-            record_span(self_, trace::EventKind::kDiskRead,
-                        sim_.now() - sim_.costs().disk_io,
-                        sim_.costs().disk_io, page));
+    // Reported at IO completion, not at schedule time, which would
+    // timestamp the stall before it happened.
+    emit({.kind = EventKind::kDiskRestored, .page = page,
+          .start = sim_.now() - sim_.costs().disk_io});
     complete_fault(page);
   });
 }
@@ -217,14 +189,13 @@ void Svm::complete_fault(PageId page) {
   PageEntry& entry = table_.at(page);
   IVY_CHECK(entry.fault_in_progress);
   const Access level = entry.fault_level;
-  const Time started = entry.fault_start;
   entry.fault_in_progress = false;
   entry.fault_level = Access::kNil;
   entry.bounce_count = 0;
   entry.lost_retries = 0;
-  // Tolerant for kNil holds that never began a wait (pending transfers).
-  IVY_PROF(stats_,
-           end_wait(self_, prof::Domain::kPageFault, page, sim_.now()));
+  // kNil marks protocol-internal holds (disk restore, outbound transfer).
+  emit({.kind = EventKind::kFaultComplete, .page = page,
+        .start = entry.fault_start, .level = level});
   if (level != Access::kNil) {
     // The fault may have ended through an absorbed grant while its own
     // request was still out.  Retire that request: left outstanding it
@@ -232,16 +203,6 @@ void Svm::complete_fault(PageId page) {
     // the grant of this node's next fault on the page.  A reply that
     // still arrives goes to the orphan absorber.
     rpc_.cancel(entry.fault_rpc);
-    // kNil marks protocol-internal holds (disk restore, outbound
-    // transfer), which account for themselves at their own sites.
-    const Time dur = sim_.now() - started;
-    stats_.record_latency(self_, Hist::kFaultResolution, dur);
-    IVY_EVT(stats_, record_span(self_,
-                                level == Access::kRead
-                                    ? trace::EventKind::kReadFault
-                                    : trace::EventKind::kWriteFault,
-                                started, dur, page));
-    if (observer_ != nullptr) observer_->on_fault_complete(self_, page, level);
   }
 
   auto waiters = std::move(entry.local_waiters);
@@ -307,7 +268,7 @@ void Svm::defer_request(PageId page, net::Message&& msg) {
 }
 
 void Svm::invalidate_copies(PageId page, std::function<void()> done) {
-  // Copy everything needed out of the entry up front: the observer hook
+  // Copy everything needed out of the entry up front: the event sink
   // and the ack continuations below are callouts that may mutate the page
   // table — growing it (grow_table) reallocates the entry vector, so a
   // PageEntry reference must never be held across them.
@@ -317,34 +278,21 @@ void Svm::invalidate_copies(PageId page, std::function<void()> done) {
     done();
     return;
   }
-  if (observer_ != nullptr) {
-    observer_->on_invalidate_round(self_, page, version, copyset.count());
-  }
-  // A fault waiting on this page has reached its invalidation leg (the
-  // leg keeps the wait's read/write family; non-fault waits are left).
-  IVY_PROF(stats_, fault_leg(self_, page, prof::FaultLeg::kInvalidate,
-                             sim_.now()));
+  IVY_CHECK(!copyset.contains(self_));  // owner never in its own copyset
+  const int copies = copyset.count();
+  emit({.kind = EventKind::kInvalidateStart, .page = page, .version = version,
+        .copies = copies});
   // Wrap the continuation so the full invalidation round (request out to
   // last ack in) is timed, whichever reply scheme runs it.
-  done = [this, page, copies = copyset.count(), version,
-          start = sim_.now(), done = std::move(done)] {
-    const Time dur = sim_.now() - start;
-    stats_.record_latency(self_, Hist::kInvalidateRound, dur);
-    IVY_EVT(stats_, record_span(self_, trace::EventKind::kInvalidateSent,
-                                start, dur, page,
-                                static_cast<std::uint64_t>(copies)));
-    if (observer_ != nullptr) {
-      observer_->on_invalidate_round_done(self_, page, version);
-    }
+  done = [this, page, copies, version, start = sim_.now(),
+          done = std::move(done)] {
+    emit({.kind = EventKind::kInvalidateDone, .page = page, .version = version,
+          .start = start, .copies = copies});
     done();
   };
   const InvalidatePayload payload{page, self_, version, copyset};
-  copyset.for_each([&](NodeId member) {
-    IVY_CHECK_NE(member, self_);  // owner never sits in its own copyset
-    stats_.bump(self_, Counter::kInvalidationsSent);
-  });
 
-  if (copyset.count() == 1 && !options_.broadcast_invalidation) {
+  if (!multicast_round(copies)) {
     // A single holder: a unicast is already one frame.
     NodeId member = kNoNode;
     copyset.for_each([&](NodeId n) { member = n; });
@@ -359,7 +307,6 @@ void Svm::invalidate_copies(PageId page, std::function<void()> done) {
   // broadcast_invalidation variant puts a true broadcast frame on the
   // wire (every station copies it) but still completes on the holders'
   // acks — bystander acks no longer pad Hist::kInvalidateRound.
-  stats_.bump(self_, Counter::kInvalidateMulticasts);
   rpc_.multicast(copyset,
                  options_.broadcast_invalidation
                      ? net::MsgKind::kInvalidateBcast
@@ -370,6 +317,19 @@ void Svm::invalidate_copies(PageId page, std::function<void()> done) {
                  },
                  /*timeout=*/0, /*on_fail=*/nullptr,
                  /*deliver_to_all=*/options_.broadcast_invalidation);
+}
+
+void Svm::invalidate_for_write(PageId page) {
+  invalidate_copies(page, [this, page, ver = table_.at(page).version] {
+    PageEntry& e = table_.at(page);
+    // Commit only if the round is still current: a newer round (a
+    // duplicate grant can start one), a completed fault or a grant-away
+    // supersede it — restoring write access would fork the writer token.
+    if (!e.owned || e.version != ver || !e.fault_in_progress) return;
+    e.copyset.clear();
+    e.access = Access::kWrite;
+    complete_fault(page);
+  });
 }
 
 void Svm::on_invalidate(net::Message&& msg) {
@@ -392,12 +352,8 @@ void Svm::on_invalidate(net::Message&& msg) {
     entry.version = payload.version;
     entry.prob_owner = payload.new_owner;
     pool_.release(payload.page);
-    IVY_EVT(stats_, record(self_, trace::EventKind::kInvalidateRecv,
-                           payload.page, payload.new_owner));
-    if (observer_ != nullptr) {
-      observer_->on_copy_dropped(self_, payload.page, payload.new_owner,
-                                 payload.version);
-    }
+    emit({.kind = EventKind::kCopyDropped, .page = payload.page,
+          .peer = payload.new_owner, .version = payload.version});
     if (options_.distributed_copysets && !entry.copyset.empty()) {
       // This copy served readers of its own (distributed copysets): the
       // invalidation recurses down the tree; acknowledge upward only
@@ -449,13 +405,9 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
   entry.on_disk = false;
   if (grant.body != nullptr) install_body(grant.page, grant.body);
   entry.access = entry.copyset.empty() ? Access::kWrite : Access::kRead;
-  stats_.bump(self_, Counter::kOwnershipTransfers);
-  IVY_EVT(stats_,
-          record(self_, trace::EventKind::kOwnershipGained, grant.page, from));
-  if (observer_ != nullptr) {
-    observer_->on_ownership_gained(self_, grant.page, from, grant.version);
-    notify_content(grant.page, grant.version, /*at_source=*/false);
-  }
+  emit({.kind = EventKind::kOwnershipGained, .page = grant.page, .peer = from,
+        .version = grant.version,
+        .body = grant.body != nullptr ? Body::kShipped : Body::kElided});
   if (entry.access != Access::kWrite) {
     // Invalidate the inherited readers even without local write intent:
     // the grant's version was bumped at detach, so surviving copies from
@@ -471,19 +423,7 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
     } else if (entry.fault_level == Access::kWrite) {
       ++entry.version;  // the local write starts a new version
     }
-    invalidate_copies(grant.page,
-                      [this, page = grant.page, ver = entry.version] {
-      PageEntry& e = table_.at(page);
-      // Commit only if the round's world is still current (same guard
-      // as the manager's upgrade paths): a concurrent round at a newer
-      // version, a completed fault, or a page granted away mid-round
-      // all supersede this one — restoring write access then would
-      // fork the writer token.
-      if (!e.owned || e.version != ver || !e.fault_in_progress) return;
-      e.copyset.clear();
-      e.access = Access::kWrite;
-      complete_fault(page);
-    });
+    invalidate_for_write(grant.page);
   } else if (entry.fault_in_progress) {
     // The adopted ownership satisfies our own outstanding fault: finish
     // it now, or our re-issued request would chase a chain ending here.
@@ -542,7 +482,8 @@ void Svm::push_pending_grant(PageId page) {
     grant.body = snapshot(page);
   }
   pending.push_in_flight = true;
-  stats_.bump(self_, Counter::kGrantReoffers);
+  emit({.kind = EventKind::kGrantReoffered, .page = page, .peer = pending.to,
+        .version = pending.version});
   IVY_DEBUG() << "node " << self_ << " re-offers unacked grant of page "
               << page << " v" << pending.version << " to " << pending.to;
   const auto clear = [this, page, version = pending.version] {
@@ -617,29 +558,22 @@ void Svm::on_grant_ack(net::Message&& msg) {
                     << " ackver=" << ack.version << " accept="
                     << ack.accept << " to=" << it->second.to);
   if (ack.accept) {
-    // Transfer landed: fully relinquish.  The span covers the window the
-    // token was in flight (grant sent to ack received).
-    IVY_EVT(stats_, record_span(self_, trace::EventKind::kOwnershipLost,
-                                entry.fault_start,
-                                sim_.now() - entry.fault_start, ack.page,
-                                it->second.to));
+    // Transfer landed: fully relinquish.
     entry.owned = false;
     entry.copyset.clear();
     entry.prob_owner = it->second.to;
     pool_.release(ack.page);
     disk_.discard(ack.page);
     entry.on_disk = false;
-    if (observer_ != nullptr) {
-      observer_->on_ownership_released(self_, ack.page, it->second.to,
-                                       ack.version);
-    }
+    emit({.kind = EventKind::kOwnershipReleased, .page = ack.page,
+          .peer = it->second.to, .version = ack.version,
+          .start = entry.fault_start});
   } else {
     // Transfer aborted (receiver found the grant stale): resume
     // ownership; the frame and copyset were never touched.
     entry.access = entry.copyset.empty() ? Access::kWrite : Access::kRead;
-    if (observer_ != nullptr) {
-      observer_->on_transfer_aborted(self_, ack.page, ack.version);
-    }
+    emit({.kind = EventKind::kTransferAborted, .page = ack.page,
+          .peer = it->second.to, .version = ack.version});
   }
   pending_transfers_.erase(it);
   rpc_.reply_to(msg, AckPayload{ack.page}, AckPayload::kWireBytes);
@@ -663,21 +597,13 @@ bool Svm::resend_pending_grant(const net::Message& msg) {
   grant.write_grant = true;
   grant.copyset = table_.at(payload.page).copyset;
   grant.copyset.remove(msg.origin);
-  if (!it->second.bodyless) {
-    grant.body = snapshot(payload.page);
-    stats_.bump(self_, Counter::kPageTransfers);
-    IVY_EVT(stats_, record(self_, trace::EventKind::kPageSent, payload.page,
-                           msg.origin));
-  }
+  if (!it->second.bodyless) grant.body = snapshot(payload.page);
   IVY_DEBUG() << "node " << self_ << " resends pending grant of page "
               << payload.page << " v" << it->second.version << " to "
               << msg.origin << (it->second.bodyless ? " (bodyless)" : "");
-  // The requester's fault is in its transfer leg again (fresh grant on
-  // the wire); the profiler is global, so the serving side may retag it.
-  IVY_PROF(stats_, retag_wait(msg.origin, prof::Domain::kPageFault,
-                              payload.page, prof::Cat::kWriteFaultTransfer,
-                              sim_.now()));
-  notify_content(payload.page, it->second.version, /*at_source=*/true);
+  emit({.kind = EventKind::kGrantResent, .page = payload.page,
+        .peer = msg.origin, .version = it->second.version,
+        .body = it->second.bodyless ? Body::kElided : Body::kShipped});
   rpc_.reply_to(msg, grant, grant.wire_bytes());
   return true;
 }
@@ -698,8 +624,6 @@ PageTransfer Svm::detach_page(PageId page, NodeId new_owner, bool with_body) {
       // owner implies content-current (an owner with a non-empty copyset
       // cannot have written).  Move ownership without the kilobyte.
       transfer.body_elided = true;
-      stats_.bump(self_, Counter::kBodylessUpgrades);
-      notify_content(page, transfer.version, /*at_source=*/true);
     } else {
       if (entry.on_disk) {
         std::byte* bytes = pool_.acquire(page);
@@ -707,19 +631,21 @@ PageTransfer Svm::detach_page(PageId page, NodeId new_owner, bool with_body) {
         add_pending_charge(sim_.costs().disk_io);
       }
       transfer.body = snapshot(page);
-      notify_content(page, transfer.version, /*at_source=*/true);
     }
   }
-  disk_.discard(page);
-  pool_.release(page);
   entry.owned = false;
   entry.access = Access::kNil;
   entry.on_disk = false;
   entry.copyset.clear();
   entry.prob_owner = new_owner;
-  if (observer_ != nullptr) {
-    observer_->on_page_detached(self_, page, new_owner, transfer.version);
-  }
+  // Reported before the frame goes: the sink checksums the shipped image.
+  emit({.kind = EventKind::kPageDetached, .page = page, .peer = new_owner,
+        .version = transfer.version,
+        .body = !with_body             ? Body::kNone
+                : transfer.body_elided ? Body::kElided
+                                       : Body::kShipped});
+  disk_.discard(page);
+  pool_.release(page);
   return transfer;
 }
 
@@ -742,15 +668,11 @@ void Svm::adopt_page(const PageTransfer& transfer) {
                       << transfer.page);
   }
   entry.access = entry.copyset.empty() ? Access::kWrite : Access::kRead;
-  stats_.bump(self_, Counter::kOwnershipTransfers);
-  IVY_EVT(stats_, record(self_, trace::EventKind::kOwnershipGained,
-                         transfer.page, kMaxNodes));
-  if (observer_ != nullptr) {
-    observer_->on_page_adopted(self_, transfer.page, transfer.version);
-    if (transfer.body != nullptr || transfer.body_elided) {
-      notify_content(transfer.page, transfer.version, /*at_source=*/false);
-    }
-  }
+  emit({.kind = EventKind::kOwnershipGained, .page = transfer.page,
+        .version = transfer.version,
+        .body = transfer.body != nullptr ? Body::kShipped
+                : transfer.body_elided   ? Body::kElided
+                                         : Body::kNone});
 }
 
 void Svm::grow_table(PageId new_num_pages) {
@@ -770,13 +692,11 @@ mem::FramePool::EvictAction Svm::on_evict(PageId page,
     stall_node(sim_.costs().disk_io);
     entry.on_disk = true;
     entry.access = Access::kNil;
-    IVY_EVT(stats_,
-            record(self_, trace::EventKind::kDiskWrite, page));
-    IVY_EVT(stats_, record(self_, trace::EventKind::kEviction, page, 1));
+    emit({.kind = EventKind::kPagedOut, .page = page});
     return mem::FramePool::EvictAction::kWriteToDisk;
   }
   entry.access = Access::kNil;
-  IVY_EVT(stats_, record(self_, trace::EventKind::kEviction, page, 0));
+  emit({.kind = EventKind::kCopyEvicted, .page = page});
   return mem::FramePool::EvictAction::kDrop;
 }
 

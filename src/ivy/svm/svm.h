@@ -20,12 +20,12 @@
 #include "ivy/mem/disk.h"
 #include "ivy/mem/frame_pool.h"
 #include "ivy/rpc/remote_op.h"
+#include "ivy/svm/event.h"
 #include "ivy/svm/page_table.h"
 #include "ivy/svm/protocol.h"
 
 namespace ivy::svm {
 
-class CoherenceObserver;
 class Manager;
 
 enum class ManagerKind : std::uint8_t {
@@ -59,9 +59,9 @@ struct SvmOptions {
   /// the whole node, not just the faulting process.  Disable to model
   /// the integrated scheduler the conclusion asks for.
   bool disk_io_stalls_node = true;
-  /// Global coherence observer (the oracle); null = no observation.
-  /// Outside the simulated machine: hooks cost no virtual time.
-  CoherenceObserver* observer = nullptr;
+  /// Global event sink (the oracle); null = no observation.  Outside the
+  /// simulated machine: events cost no virtual time.
+  EventSink* sink = nullptr;
 };
 
 /// Record used by process migration's direct stack-page handoff
@@ -133,18 +133,9 @@ class Svm {
   [[nodiscard]] mem::FramePool& frames() { return pool_; }
   [[nodiscard]] mem::Disk& paging_disk() { return disk_; }
   [[nodiscard]] rpc::RemoteOp& rpc() { return rpc_; }
-  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] Stats& stats() { return stats_; }
-  [[nodiscard]] Manager& manager() { return *manager_; }
-  [[nodiscard]] CoherenceObserver* observer() const { return observer_; }
-  /// Whether a two-phase ownership transfer of `page` awaits its ack.
-  [[nodiscard]] bool transfer_pending(PageId page) const {
-    return pending_transfers_.contains(page);
-  }
-  /// Reports this node's current frame image of `page` to the observer
-  /// (no-op without an observer or a resident frame).  `at_source` marks
-  /// the shipping side of a transfer, false the installing side.
-  void notify_content(PageId page, std::uint64_t version, bool at_source);
+  /// Reports one transition, stamped with this node, to every consumer
+  /// (event.cc); call it after the page-table mutation it describes.
+  void emit(Event e);
 
   /// Virtual time cost accrued by protocol activity on behalf of the
   /// local client (evictions, disk restores) since the last drain; the
@@ -205,6 +196,10 @@ class Svm {
   /// must already be bumped); `done` runs after all acknowledgements.
   /// Completes synchronously for an empty copyset.
   void invalidate_copies(PageId page, std::function<void()> done);
+
+  /// Owner-side write upgrade: invalidates the copyset, then takes write
+  /// access and completes the fault unless the round was superseded.
+  void invalidate_for_write(PageId page);
 
   /// Invalidation server (wired to kInvalidate / kInvalidateBcast).
   void on_invalidate(net::Message&& msg);
@@ -267,6 +262,11 @@ class Svm {
   /// timer pushes the held grant to the target as a reliable *request*
   /// (kGrantPush) until the transfer settles either way.
   void arm_reoffer(PageId page, std::uint64_t version);
+
+  /// Whether a round over `copies` holders goes out as one multicast.
+  [[nodiscard]] bool multicast_round(int copies) const {
+    return copies > 1 || options_.broadcast_invalidation;
+  }
   void push_pending_grant(PageId page);
 
   sim::Simulator& sim_;
@@ -275,7 +275,7 @@ class Svm {
   NodeId self_;
   NodeId nodes_;
   SvmOptions options_;
-  CoherenceObserver* observer_;
+  EventSink* sink_;
   PageTable table_;
   mem::FramePool pool_;
   mem::Disk disk_;

@@ -682,7 +682,6 @@ std::vector<CrossCheckRow> cross_check(const LoadedTrace& trace,
       "disk-restore faults leave no fault span");
   add("write_faults", count(EventKind::kWriteFault), no_paging,
       "disk-restore faults leave no fault span");
-  add("page_transfers", count(EventKind::kPageSent), true, "");
   add("invalidations_sent", inval_copies, no_broadcasts,
       "broadcast rounds count once regardless of copies");
   add("forwards", count(EventKind::kForward), no_migrations,

@@ -10,10 +10,9 @@
 // in Perfetto / chrome://tracing) and into the hot-page report.
 //
 // Cost discipline: tracing is off by default.  Modules record through
-// the IVY_EVT macro, which is a single pointer null-check when disabled
-// (Stats::tracer() is nullptr) and compiles to nothing entirely when
-// IVY_TRACE_COMPILED_OUT is defined.  A disabled tracer allocates no
-// buffer.
+// the IVY_EVT macro (the svm layer through Svm::emit), which is a single
+// pointer null-check when disabled (Stats::tracer() is nullptr).  A
+// disabled tracer allocates no buffer.
 #pragma once
 
 #include <cstdint>
@@ -195,19 +194,12 @@ class Tracer {
 }  // namespace ivy::trace
 
 /// Event-recording entry point for instrumented modules: expands to a
-/// single branch on Stats::tracer() (nullptr unless tracing is enabled)
-/// and to nothing at all under IVY_TRACE_COMPILED_OUT.
+/// single branch on Stats::tracer() (nullptr unless tracing is enabled).
 ///
-///   IVY_EVT(stats_, record(self_, trace::EventKind::kEviction, page));
-#ifdef IVY_TRACE_COMPILED_OUT
-#define IVY_EVT(stats, call) \
-  do {                       \
-  } while (0)
-#else
+///   IVY_EVT(stats_, record(self_, trace::EventKind::kRetransmit, id, dst));
 #define IVY_EVT(stats, call)                                     \
   do {                                                           \
     if (::ivy::trace::Tracer* ivy_evt_t = (stats).tracer()) {    \
       ivy_evt_t->call;                                           \
     }                                                            \
   } while (0)
-#endif

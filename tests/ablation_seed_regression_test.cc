@@ -21,7 +21,13 @@
 //     with no reply coming, the request retransmitted until the rpc layer
 //     gave up and aborted the run.  Completing a fault now cancels its
 //     request.
+//   - centralized, seed 3: the ownership_transfers counter read 925
+//     against 865 completed transfers, because a grant was counted when
+//     served and again when its receiver absorbed it.  It now counts
+//     each completed transfer once, from the kOwnershipGained event.
 // Seeds 3, 15 and 18 of the broadcast point stay in the grid as well.
+// Every case also holds the counter to the transfers the trace shows
+// completed.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,6 +35,7 @@
 
 #include "ivy/apps/jacobi.h"
 #include "ivy/fault/plane.h"
+#include "ivy/trace/trace.h"
 
 namespace ivy::apps {
 namespace {
@@ -52,6 +59,8 @@ TEST_P(AblationSeedRegression, StaysCoherent) {
                                       &cfg.fault, &error))
       << error;
   cfg.fault_seed = GetParam().fault_seed;
+  cfg.trace_enabled = true;
+  cfg.trace_capacity = 1 << 19;
   Runtime rt(std::move(cfg));
 
   JacobiParams p;
@@ -66,11 +75,21 @@ TEST_P(AblationSeedRegression, StaysCoherent) {
     EXPECT_EQ(rt.rpc(n).outstanding_requests(), 0u) << "node " << n;
     EXPECT_EQ(rt.rpc(n).pending_serves(), 0u) << "node " << n;
   }
+  // A completed transfer is an accept the old owner processed (its
+  // kOwnershipLost span) or a migration adopt.
+  ASSERT_EQ(rt.tracer().dropped(), 0u);
+  std::uint64_t released = 0;
+  rt.tracer().for_each([&](const trace::Event& e) {
+    if (e.kind == trace::EventKind::kOwnershipLost) ++released;
+  });
+  EXPECT_EQ(rt.stats().total(Counter::kOwnershipTransfers),
+            released + rt.stats().total(Counter::kMigrations));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     JacobiN8, AblationSeedRegression,
-    testing::Values(Case{svm::ManagerKind::kBroadcast, 3},
+    testing::Values(Case{svm::ManagerKind::kCentralized, 3},
+                    Case{svm::ManagerKind::kBroadcast, 3},
                     Case{svm::ManagerKind::kBroadcast, 6},
                     Case{svm::ManagerKind::kBroadcast, 15},
                     Case{svm::ManagerKind::kBroadcast, 18},

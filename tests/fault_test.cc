@@ -83,6 +83,25 @@ TEST(ParseFaultSpec, RejectsMalformedInput) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ParseFaultSpec, EveryMessageKindNameParsesBack) {
+  // grant_push was once missing from the parser's own roster.
+  for (const net::MsgKindName& k : net::kMsgKindNames) {
+    if (k.kind == net::MsgKind::kInvalid) continue;
+    FaultSpec spec;
+    std::string error;
+    ASSERT_TRUE(parse_fault_spec(
+        std::string("drop=0.1/kind=") + net::to_string(k.kind), &spec,
+        &error))
+        << k.name << ": " << error;
+    ASSERT_EQ(spec.rules.size(), 1u);
+    EXPECT_EQ(spec.rules[0].kind, k.kind) << k.name;
+  }
+  FaultSpec spec;
+  std::string error;
+  EXPECT_TRUE(parse_fault_spec("drop=0.1/kind=grant_push", &spec, &error));
+  EXPECT_FALSE(parse_fault_spec("drop=0.1/kind=page_out", &spec, &error));
+}
+
 TEST(ParseFaultSpec, EmptyStringIsNoFaults) {
   FaultSpec spec;
   std::string error;

@@ -31,7 +31,7 @@ class OracleHarness {
     opts.geo = svm::Geometry{256, kPages};
     opts.manager = kind;
     opts.frames_per_node = 4096;
-    opts.observer = &oracle_;
+    opts.sink = &oracle_;
     for (NodeId n = 0; n < nodes; ++n) {
       rpcs_.push_back(std::make_unique<rpc::RemoteOp>(sim_, ring_, stats_, n));
       svms_.push_back(std::make_unique<svm::Svm>(sim_, *rpcs_.back(), stats_,
@@ -182,20 +182,26 @@ TEST(OracleDetect, UnmatchedTransferSteps) {
   OracleHarness h(Mode::kWarn, 4);
   h.churn();
   // A grant-accept out of thin air, then a release nobody granted.
-  h.oracle().on_ownership_gained(2, 4, /*from=*/1, /*version=*/9);
-  h.oracle().on_ownership_released(1, 4, /*to=*/2, /*version=*/9);
+  using svm::EventKind;
+  h.oracle().on_event({.kind = EventKind::kOwnershipGained,
+                       .node = 2, .page = 4, .peer = 1, .version = 9});
+  h.oracle().on_event({.kind = EventKind::kOwnershipReleased,
+                       .node = 1, .page = 4, .peer = 2, .version = 9});
   EXPECT_GE(h.oracle().violations(Invariant::kTransferProtocol), 2u);
 }
 
 TEST(OracleDetect, CorruptedPageImage) {
   OracleHarness h(Mode::kWarn, 4);
   const std::uint64_t good = 0xabcdef, bad = 0xfee1bad;
-  h.oracle().on_page_content(0, 5, /*version=*/3,
-                             std::as_bytes(std::span(&good, 1)),
-                             /*at_source=*/true);
-  h.oracle().on_page_content(1, 5, /*version=*/3,
-                             std::as_bytes(std::span(&bad, 1)),
-                             /*at_source=*/false);
+  // Node 0 ships version 3 of page 5; node 1 installs other bytes.
+  h.oracle().on_event({.kind = svm::EventKind::kReadServed,
+                       .node = 0, .page = 5, .peer = 1, .version = 3,
+                       .body = svm::Body::kShipped,
+                       .image = std::as_bytes(std::span(&good, 1))});
+  h.oracle().on_event({.kind = svm::EventKind::kCopyReceived,
+                       .node = 1, .page = 5, .peer = 0, .version = 3,
+                       .body = svm::Body::kShipped,
+                       .image = std::as_bytes(std::span(&bad, 1))});
   EXPECT_EQ(h.oracle().violations(Invariant::kContentIntegrity), 1u);
 }
 

@@ -8,7 +8,6 @@
 #include <memory>
 
 #include "ivy/svm/manager.h"
-#include "ivy/svm/observer.h"
 #include "ivy/svm/svm.h"
 
 namespace ivy::svm {
@@ -374,38 +373,24 @@ TEST(SvmGeometry, PageAndOffsetMath) {
 }
 
 // Regression for the stale-reference hazard in invalidate_copies: the
-// observer hook fires mid-round, and an observer that grows the page
-// table reallocates the PageEntry vector.  The old code kept a
-// PageEntry& across that callout and the ack continuations; under ASan
-// this test caught the dangling read.
-class GrowingObserver : public CoherenceObserver {
+// round's kInvalidateStart event reaches the sink mid-round, and a sink
+// that grows the page table reallocates the PageEntry vector.  The old
+// code kept a PageEntry& across that callout and the ack continuations;
+// under ASan this test caught the dangling read.
+class GrowingObserver : public EventSink {
  public:
   std::vector<Svm*> svms;
   PageId grow_to = 0;
   bool grown = false;
 
-  void attach(Svm* svm) override { svms.push_back(svm); }
-  void on_invalidate_round(NodeId, PageId, std::uint64_t, int) override {
-    if (grown || grow_to == 0) return;
+  void on_event(const Event& e) override {
+    if (e.kind != EventKind::kInvalidateStart || grown || grow_to == 0) {
+      return;
+    }
     grown = true;
     // The address space is shared: every node grows in lockstep.
     for (Svm* svm : svms) svm->grow_table(grow_to);
   }
-
-  void on_fault_start(NodeId, PageId, Access) override {}
-  void on_fault_complete(NodeId, PageId, Access) override {}
-  void on_forward(NodeId, PageId, NodeId, NodeId, bool) override {}
-  void on_read_served(NodeId, PageId, NodeId) override {}
-  void on_write_served(NodeId, PageId, NodeId, std::uint64_t) override {}
-  void on_ownership_gained(NodeId, PageId, NodeId, std::uint64_t) override {}
-  void on_ownership_released(NodeId, PageId, NodeId, std::uint64_t) override {}
-  void on_transfer_aborted(NodeId, PageId, std::uint64_t) override {}
-  void on_page_detached(NodeId, PageId, NodeId, std::uint64_t) override {}
-  void on_page_adopted(NodeId, PageId, std::uint64_t) override {}
-  void on_invalidate_round_done(NodeId, PageId, std::uint64_t) override {}
-  void on_copy_dropped(NodeId, PageId, NodeId, std::uint64_t) override {}
-  void on_page_content(NodeId, PageId, std::uint64_t,
-                       std::span<const std::byte>, bool) override {}
 };
 
 class GrowMidRound : public testing::TestWithParam<ManagerKind> {};
@@ -421,14 +406,14 @@ TEST_P(GrowMidRound, TableGrowthDuringInvalidationRoundIsSafe) {
   SvmOptions opts;
   opts.geo = Geometry{256, kInitialPages};
   opts.manager = GetParam();
-  opts.observer = &obs;
+  opts.sink = &obs;
   std::vector<std::unique_ptr<rpc::RemoteOp>> rpcs;
   std::vector<std::unique_ptr<Svm>> svms;
   for (NodeId n = 0; n < 3; ++n) {
     rpcs.push_back(std::make_unique<rpc::RemoteOp>(sim, ring, stats, n));
     svms.push_back(
         std::make_unique<Svm>(sim, *rpcs.back(), stats, n, 3, opts));
-    obs.attach(svms.back().get());
+    obs.svms.push_back(svms.back().get());
   }
   auto ensure = [&](NodeId node, PageId page, Access want) {
     bool done = false;
@@ -442,7 +427,7 @@ TEST_P(GrowMidRound, TableGrowthDuringInvalidationRoundIsSafe) {
   svms[0]->write_bytes(0, std::as_bytes(std::span(&magic, 1)));
   ensure(1, 0, Access::kRead);
   ensure(2, 0, Access::kRead);
-  // The upgrade's invalidation round fires the observer, which grows
+  // The upgrade's invalidation round reaches the sink, which grows
   // the table of every node mid-round.
   ensure(0, 0, Access::kWrite);
   ASSERT_TRUE(obs.grown);
