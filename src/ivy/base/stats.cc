@@ -24,6 +24,7 @@ const std::array<const char*, kCounterCount>& counter_names() {
       "checksum_drops",
       "done_cache_evictions",
       "dup_reexecutions",
+      "reply_resends",
       "disk_reads",
       "disk_writes",
       "evictions",

@@ -46,6 +46,7 @@ enum class Counter : std::size_t {
   kChecksumDrops,       ///< frames discarded by receiver checksum verify
   kDoneCacheEvictions,  ///< cached replies evicted from the rpc done-cache
   kDupReexecutions,     ///< duplicate requests re-executed after eviction
+  kReplyResends,        ///< cached replies resent to a retransmitted request
   kDiskReads,           ///< page-in operations from the simulated disk
   kDiskWrites,          ///< page-out operations to the simulated disk
   kEvictions,           ///< frames reclaimed by LRU replacement

@@ -90,6 +90,11 @@ struct Message {
   NodeId origin = kNoNode;
   /// True when this message answers a request.
   bool is_reply = false;
+  /// Send attempt of the request: 0 for the first send, k for the k-th
+  /// retransmission.  Forwarded and held copies keep it.  The server's
+  /// done-cache resends a reply only to a higher attempt than the one it
+  /// answered, so a trailing copy of an answered send costs nothing.
+  std::uint32_t attempt = 0;
 
   std::any payload;
 
@@ -129,6 +134,7 @@ struct Message {
   mix(m.rpc_id);
   mix(m.origin);
   mix(m.is_reply ? 1 : 0);
+  mix(m.attempt);
   mix(m.wire_bytes);
   mix(m.load_hint);
   return h;

@@ -167,18 +167,18 @@ void RemoteOp::set_handler(net::MsgKind kind, ServerHandler handler) {
 }
 
 void RemoteOp::reply_to(const net::Message& req, std::any payload,
-                        std::uint32_t wire_bytes) {
-  reply(reply_later(req), std::move(payload), wire_bytes);
+                        std::uint32_t wire_bytes, SentCallback on_sent) {
+  reply(reply_later(req), std::move(payload), wire_bytes, std::move(on_sent));
 }
 
 void RemoteOp::reply(const PendingReply& pending, std::any payload,
-                     std::uint32_t wire_bytes) {
+                     std::uint32_t wire_bytes, SentCallback on_sent) {
   const std::uint64_t key = dedup_key(pending.origin, pending.rpc_id);
   in_progress_.erase(key);
-  // Cache the reply so a duplicate request can be answered without
+  // Cache the reply so a retransmission can be answered without
   // re-executing the operation ("resend replies only when necessary").
   done_cache_.push_back(DoneEntry{key, payload, wire_bytes, pending.kind,
-                                  pending.origin});
+                                  pending.origin, pending.attempt});
   while (done_cache_.size() > done_cache_capacity_) evict_done_front();
 
   net::Message msg;
@@ -203,8 +203,10 @@ void RemoteOp::reply(const PendingReply& pending, std::any payload,
                             sim_.now() + sim_.costs().fault_server));
   // Model the server-side software time before the reply hits the wire.
   sim_.schedule_after(sim_.costs().fault_server,
-                      [this, m = std::move(msg)]() mutable {
+                      [this, m = std::move(msg),
+                       on_sent = std::move(on_sent)]() mutable {
                         transmit(std::move(m));
+                        if (on_sent) on_sent();
                       });
 }
 
@@ -344,9 +346,14 @@ void RemoteOp::record_round_trip(std::uint64_t kind_arg, Time first_sent,
 
 void RemoteOp::handle_request(net::Message&& msg) {
   const std::uint64_t key = dedup_key(msg.origin, msg.rpc_id);
-  // Completed before?  Resend the cached reply.
-  for (const DoneEntry& done : done_cache_) {
+  // Completed before?  Only a retransmission — a higher attempt than the
+  // one answered — means the reply was lost; resend the cached reply to
+  // it.  Any other copy trails the one served and is dropped.
+  for (DoneEntry& done : done_cache_) {
     if (done.key == key) {
+      if (msg.attempt <= done.attempt) return;
+      done.attempt = msg.attempt;
+      stats_.bump(self_, Counter::kReplyResends);
       net::Message rep;
       rep.src = self_;
       rep.dst = done.origin;
@@ -425,6 +432,7 @@ void RemoteOp::retransmit_scan() {
     }
     out.backoff_wait = next_backoff(wait);
     out.last_sent = now;
+    out.original.attempt = out.retransmits;
     transmit(out.original);  // copy; payload shared_ptr bodies stay cheap
   }
   // Failures are surfaced after the scan: the callbacks may issue new

@@ -10,10 +10,15 @@
 //     with no intermediate replies — the mechanism that makes the dynamic
 //     distributed manager's probOwner chains cheap.
 //  3. A retransmission protocol that "resends replies only when
-//     necessary": servers remember completed requests and repeat the
-//     cached reply if a duplicate request arrives; clients retransmit
-//     unanswered requests from a half-second periodic check, mirroring
-//     the null-process checking in the paper.  Retransmissions back off
+//     necessary": clients retransmit unanswered requests from a
+//     half-second periodic check, mirroring the null-process checking in
+//     the paper, and number each send (Message::attempt).  Servers
+//     remember completed requests with the highest attempt they answered
+//     and repeat the cached reply only to a higher attempt — a
+//     retransmission, which means the client lost the reply.  Any other
+//     copy of an answered request (a forwarded or held probe trailing the
+//     copy that was served, a duplicated frame) is dropped, like a copy
+//     of a request still being served.  Retransmissions back off
 //     exponentially (with deterministic jitter) and give up after a cap,
 //     surfacing a terminal RequestFailure instead of retrying forever.
 //
@@ -53,6 +58,7 @@ struct PendingReply {
   NodeId origin = kNoNode;
   std::uint64_t rpc_id = 0;
   net::MsgKind kind = net::MsgKind::kInvalid;
+  std::uint32_t attempt = 0;  ///< send attempt being answered
 };
 
 /// Terminal outcome of a request that exhausted its retransmission
@@ -132,17 +138,21 @@ class RemoteOp {
   /// wrong for replies that carry a resource (page ownership).
   void set_orphan_reply_handler(net::MsgKind kind, ServerHandler handler);
 
+  /// Continuation run when a reply frame is handed to the ring.
+  using SentCallback = std::function<void()>;
+
   /// Replies to `req` immediately (charges server handling time first).
+  /// `on_sent` (optional) runs as the reply frame goes on the ring.
   void reply_to(const net::Message& req, std::any payload,
-                std::uint32_t wire_bytes);
+                std::uint32_t wire_bytes, SentCallback on_sent = nullptr);
 
   /// Captures a deferred-reply handle; the handler returns without
   /// answering and some later event calls reply().
   [[nodiscard]] static PendingReply reply_later(const net::Message& req) {
-    return PendingReply{req.origin, req.rpc_id, req.kind};
+    return PendingReply{req.origin, req.rpc_id, req.kind, req.attempt};
   }
   void reply(const PendingReply& pending, std::any payload,
-             std::uint32_t wire_bytes);
+             std::uint32_t wire_bytes, SentCallback on_sent = nullptr);
 
   /// Declares that this node will never answer `req` (e.g. a broadcast
   /// owner probe received by a non-owner).  Clears the duplicate marker
@@ -216,6 +226,7 @@ class RemoteOp {
     std::uint32_t wire_bytes = 0;
     net::MsgKind kind = net::MsgKind::kInvalid;
     NodeId origin = kNoNode;
+    std::uint32_t attempt = 0;  ///< highest send attempt answered
   };
 
   void transmit(net::Message msg);

@@ -105,6 +105,19 @@ void Manager::on_fault_request(net::Message&& msg) {
       held.held = true;
       msg.payload = held;
     }
+    // Broadcast manager: once the grant of a pending transfer is on the
+    // ring, pass the probe straight to the new owner.  Ring FIFO puts it
+    // behind the grant and ahead of probes sent later, so the new owner
+    // meets requests in arrival order.  A copy that came back from that
+    // node stays held until the ack, so nothing ping-pongs when the
+    // grant is lost or refused.
+    if (svm_.options().manager == ManagerKind::kBroadcast) {
+      const NodeId to = svm_.granted_to(page);
+      if (to != kNoNode && to != msg.src) {
+        forward(std::move(msg), page, to);
+        return;
+      }
+    }
     svm_.defer_request(page, std::move(msg));
     return;
   }
@@ -167,9 +180,14 @@ void Manager::serve_write(net::Message&& msg, PageId page) {
   if (!requester_copy_valid) grant.body = svm_.snapshot(page);
 
   // Two-phase relinquish: keep the token and the data until the new
-  // owner's kGrantAck; all requests for the page defer meanwhile.
+  // owner's kGrantAck; requests for the page defer meanwhile (or, under
+  // the broadcast manager, pass to the new owner once the grant is on
+  // the ring — see on_fault_request).
   note_write_grant(page, msg.origin);
-  svm_.rpc().reply_to(msg, grant, grant.wire_bytes());
+  svm_.rpc().reply_to(msg, grant, grant.wire_bytes(),
+                      [this, page, version = entry.version] {
+                        svm_.note_grant_sent(page, version);
+                      });
   svm_.begin_pending_transfer(page, msg.origin, entry.version,
                               requester_copy_valid);
   // A bodyless grant still puts the held image at stake: the requester's

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -127,7 +126,7 @@ struct PageEntry {
   std::vector<LocalWaiter> local_waiters;
   /// Remote requests that arrived while this node was mid-fault on the
   /// page; replayed once the fault completes.
-  std::deque<net::Message> deferred_requests;
+  std::vector<net::Message> deferred_requests;
 };
 
 class PageTable {

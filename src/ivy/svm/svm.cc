@@ -443,11 +443,27 @@ void Svm::begin_pending_transfer(PageId page, NodeId to,
   entry.fault_in_progress = true;
   entry.fault_level = Access::kNil;
   entry.fault_start = sim_.now();
-  pending_transfers_[page] =
-      PendingTransfer{to, version, /*push_in_flight=*/false, bodyless};
+  pending_transfers_[page] = PendingTransfer{
+      .to = to, .version = version, .bodyless = bodyless};
   IVY_DEBUG() << "node " << self_ << " holds page " << page
               << " pending transfer to " << to << " v" << version;
   arm_reoffer(page, version);
+}
+
+void Svm::note_grant_sent(PageId page, std::uint64_t version) {
+  auto it = pending_transfers_.find(page);
+  if (it == pending_transfers_.end() || it->second.version != version) return;
+  it->second.grant_sent = true;
+  // Broadcast manager: the probes held so far follow the grant at once
+  // (Manager::on_fault_request passes them on).
+  if (options_.manager == ManagerKind::kBroadcast) replay_deferred(page);
+}
+
+NodeId Svm::granted_to(PageId page) const {
+  auto it = pending_transfers_.find(page);
+  return it != pending_transfers_.end() && it->second.grant_sent
+             ? it->second.to
+             : kNoNode;
 }
 
 void Svm::arm_reoffer(PageId page, std::uint64_t version) {

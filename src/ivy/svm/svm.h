@@ -221,6 +221,18 @@ class Svm {
   void begin_pending_transfer(PageId page, NodeId to, std::uint64_t version,
                               bool bodyless = false);
 
+  /// Old-owner side: the grant of the pending transfer of `page` at
+  /// `version` went on the ring (wired to the grant reply's on-sent
+  /// continuation).  Under the broadcast manager the requests held so
+  /// far are replayed, so they pass to the new owner behind the grant.
+  /// No-op if that transfer already settled.
+  void note_grant_sent(PageId page, std::uint64_t version);
+
+  /// The node a pending transfer of `page` grants it to, once the grant
+  /// is on the ring; kNoNode otherwise.  A frame sent to it from now on
+  /// arrives behind the grant (ring FIFO).
+  [[nodiscard]] NodeId granted_to(PageId page) const;
+
   /// New-owner side: confirms (or aborts) a received write grant.
   void send_grant_ack(NodeId to, PageId page, std::uint64_t version,
                       bool accept);
@@ -251,6 +263,8 @@ class Svm {
     /// The grant elided the page body (requester holds a valid copy at
     /// this version); re-offers and resends stay bodyless.
     bool bodyless = false;
+    /// The grant frame is on the ring (see granted_to).
+    bool grant_sent = false;
   };
 
   /// Old-owner liveness for the two-phase transfer: the grant travels as

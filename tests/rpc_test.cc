@@ -191,6 +191,80 @@ TEST_F(RpcTest, DroppedReplyIsResentWithoutReexecution) {
   EXPECT_EQ(served, 1);
 }
 
+TEST_F(RpcTest, AnsweredAttemptGetsNoSecondReply) {
+  // A copy of an answered request that is no retransmission (a trailing
+  // broadcast or forwarded copy, a duplicated frame) carries the attempt
+  // already answered: the server drops it instead of resending the
+  // cached reply.  Only a higher attempt earns a resend, once.
+  int served = 0;
+  op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
+    ++served;
+    op(1).reply_to(msg, Payload{4}, 8);
+  });
+  int reply_frames = 0;
+  ring_.set_drop_hook([&](const net::Message& msg) {
+    if (msg.is_reply) ++reply_frames;
+    return false;
+  });
+  std::uint64_t rpc_id = 0;
+  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+                [&](net::Message&& reply) { rpc_id = reply.rpc_id; });
+  sim_.run_until_idle();
+  ASSERT_NE(rpc_id, 0u);
+  EXPECT_EQ(reply_frames, 1);
+
+  const auto copy = [&](std::uint32_t attempt) {
+    net::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.kind = net::MsgKind::kAllocRequest;
+    m.rpc_id = rpc_id;
+    m.origin = 0;
+    m.attempt = attempt;
+    m.payload = Payload{};
+    m.wire_bytes = 8;
+    ring_.send(std::move(m));
+    sim_.run_until_idle();
+  };
+  copy(0);  // same attempt as the one answered
+  EXPECT_EQ(reply_frames, 1);
+  EXPECT_EQ(stats_.total(Counter::kReplyResends), 0u);
+  copy(1);  // a retransmission: the reply may have been lost
+  EXPECT_EQ(reply_frames, 2);
+  EXPECT_EQ(stats_.total(Counter::kReplyResends), 1u);
+  copy(1);  // a duplicate of that retransmission
+  EXPECT_EQ(reply_frames, 2);
+  EXPECT_EQ(stats_.total(Counter::kReplyResends), 1u);
+  EXPECT_EQ(served, 1);
+}
+
+TEST_F(RpcTest, RetransmissionAfterLostReplyIsAnsweredOnce) {
+  int reply_frames = 0;
+  ring_.set_drop_hook([&](const net::Message& msg) {
+    return msg.is_reply && ++reply_frames == 1;  // lose the first reply
+  });
+  op(0).set_request_timeout(ms(50));
+  op(0).set_check_interval(ms(50));
+  int served = 0;
+  op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
+    ++served;
+    op(1).reply_to(msg, Payload{12}, 8);
+  });
+  int replies = 0;
+  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+                [&](net::Message&& reply) {
+                  ++replies;
+                  EXPECT_EQ(std::any_cast<Payload>(reply.payload).value, 12);
+                });
+  sim_.run_until_idle();
+  EXPECT_EQ(served, 1);
+  EXPECT_EQ(replies, 1);
+  EXPECT_EQ(stats_.total(Counter::kRetransmissions), 1u);
+  // The lost reply and exactly one resend from the done-cache.
+  EXPECT_EQ(reply_frames, 2);
+  EXPECT_EQ(stats_.total(Counter::kReplyResends), 1u);
+}
+
 TEST_F(RpcTest, DuplicateWhileInProgressIsSwallowed) {
   // Server defers; a duplicate (from retransmission) must not re-run the
   // handler or produce a second reply.
