@@ -105,18 +105,16 @@ void Manager::on_fault_request(net::Message&& msg) {
       held.held = true;
       msg.payload = held;
     }
-    // Broadcast manager: once the grant of a pending transfer is on the
-    // ring, pass the probe straight to the new owner.  Ring FIFO puts it
-    // behind the grant and ahead of probes sent later, so the new owner
-    // meets requests in arrival order.  A copy that came back from that
-    // node stays held until the ack, so nothing ping-pongs when the
-    // grant is lost or refused.
-    if (svm_.options().manager == ManagerKind::kBroadcast) {
-      const NodeId to = svm_.granted_to(page);
-      if (to != kNoNode && to != msg.src) {
-        forward(std::move(msg), page, to);
-        return;
-      }
+    // Once the grant of a pending transfer is on the ring, pass the
+    // request on at once instead of after the grant-ack round trip.  Ring
+    // FIFO puts it behind the grant and ahead of requests sent later, so
+    // the new owner meets requests in arrival order.  A copy that came
+    // back from that node stays held until the ack, so nothing ping-pongs
+    // when the grant is lost or refused.
+    const NodeId to = svm_.granted_to(page);
+    if (to != kNoNode && to != msg.src) {
+      hand_off(std::move(msg), page, to);
+      return;
     }
     svm_.defer_request(page, std::move(msg));
     return;
@@ -180,9 +178,9 @@ void Manager::serve_write(net::Message&& msg, PageId page) {
   if (!requester_copy_valid) grant.body = svm_.snapshot(page);
 
   // Two-phase relinquish: keep the token and the data until the new
-  // owner's kGrantAck; requests for the page defer meanwhile (or, under
-  // the broadcast manager, pass to the new owner once the grant is on
-  // the ring — see on_fault_request).
+  // owner's kGrantAck; requests for the page are held meanwhile, and pass
+  // to the new owner once the grant is on the ring (see
+  // on_fault_request).
   note_write_grant(page, msg.origin);
   svm_.rpc().reply_to(msg, grant, grant.wire_bytes(),
                       [this, page, version = entry.version] {
@@ -290,6 +288,10 @@ void Manager::on_grant(net::Message&& reply) {
 void Manager::note_write_grant(PageId, NodeId) {}
 
 void Manager::on_table_grown(PageId) {}
+
+void Manager::hand_off(net::Message&& msg, PageId page, NodeId new_owner) {
+  forward(std::move(msg), page, new_owner);
+}
 
 void Manager::forward(net::Message&& msg, PageId page, NodeId next) {
   const bool write = msg.kind == net::MsgKind::kWriteFault;

@@ -78,6 +78,13 @@ class Manager {
   /// owner maps here.
   virtual void note_write_grant(PageId page, NodeId new_owner);
 
+  /// A request reached this node while its grant of `page` to
+  /// `new_owner` is on the ring: passes it on behind the grant instead
+  /// of holding it until the ack.  The default forwards to `new_owner`;
+  /// the owner-map managers route through their map at the page's
+  /// manager.
+  virtual void hand_off(net::Message&& msg, PageId page, NodeId new_owner);
+
   /// Locates the owner with the remote-operation module's any-reply
   /// broadcast — the fallback when hint chains degenerate into cycles.
   void broadcast_locate(PageId page, net::MsgKind kind);
@@ -127,6 +134,7 @@ class OwnerMapManager final : public Manager {
   void route_initial(PageId page, net::MsgKind kind) override;
   void route_request(net::Message&& msg, PageId page) override;
   void note_write_grant(PageId page, NodeId new_owner) override;
+  void hand_off(net::Message&& msg, PageId page, NodeId new_owner) override;
 
  private:
   /// owner[p] plus the owner it replaced: the ownership history a

@@ -84,6 +84,22 @@ void OwnerMapManager::route_request(net::Message&& msg, PageId page) {
   forward(std::move(msg), page, next);
 }
 
+void OwnerMapManager::hand_off(net::Message&& msg, PageId page,
+                               NodeId new_owner) {
+  // At the page's manager the hand-off is the manager's forward: the map
+  // records a write faulter as the new tail, and the request goes to the
+  // tail before it, where the replay after the ack would have sent it.
+  // Passing it to new_owner without the map would leave the map stale,
+  // and the re-issue rule would then route later requests along a
+  // history that never happened.
+  NodeId next = new_owner;
+  if (manager_of(page) == svm_.self()) {
+    const NodeId tail = manage(page, msg.kind, msg.origin);
+    if (tail != kNoNode && tail != svm_.self()) next = tail;
+  }
+  forward(std::move(msg), page, next);
+}
+
 void OwnerMapManager::note_write_grant(PageId page, NodeId new_owner) {
   if (manager_of(page) == svm_.self()) record_owner(page, new_owner);
 }

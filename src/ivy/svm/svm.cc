@@ -454,9 +454,9 @@ void Svm::note_grant_sent(PageId page, std::uint64_t version) {
   auto it = pending_transfers_.find(page);
   if (it == pending_transfers_.end() || it->second.version != version) return;
   it->second.grant_sent = true;
-  // Broadcast manager: the probes held so far follow the grant at once
-  // (Manager::on_fault_request passes them on).
-  if (options_.manager == ManagerKind::kBroadcast) replay_deferred(page);
+  // The requests held so far follow the grant at once
+  // (Manager::on_fault_request hands them off).
+  replay_deferred(page);
 }
 
 NodeId Svm::granted_to(PageId page) const {

@@ -214,18 +214,20 @@ class Svm {
   // --- two-phase ownership transfer ---------------------------------------
 
   /// Old-owner side: marks `page` as granted-to-`to` at `version` and
-  /// defers all requests until the kGrantAck arrives.  Called by
-  /// Manager::serve_write after the grant reply is sent.  `bodyless`
-  /// records that the grant elided the page body (the requester holds a
-  /// valid copy), so re-offers and resends elide it too.
+  /// holds all requests until the grant is on the ring
+  /// (note_grant_sent).  Called by Manager::serve_write after the grant
+  /// reply is sent.  `bodyless` records that the grant elided the page
+  /// body (the requester holds a valid copy), so re-offers and resends
+  /// elide it too.
   void begin_pending_transfer(PageId page, NodeId to, std::uint64_t version,
                               bool bodyless = false);
 
   /// Old-owner side: the grant of the pending transfer of `page` at
   /// `version` went on the ring (wired to the grant reply's on-sent
-  /// continuation).  Under the broadcast manager the requests held so
-  /// far are replayed, so they pass to the new owner behind the grant.
-  /// No-op if that transfer already settled.
+  /// continuation).  The requests held so far are replayed, so they pass
+  /// to the new owner behind the grant; a copy that came back from the
+  /// new owner is held again until the kGrantAck.  No-op if that
+  /// transfer already settled.
   void note_grant_sent(PageId page, std::uint64_t version);
 
   /// The node a pending transfer of `page` grants it to, once the grant

@@ -7,8 +7,10 @@
 //   - dynamic: the paper's distributed queue — a write faulter holds the
 //     requests the probOwner rewrites send its way, with no timer;
 //   - broadcast: a busy owner holds the probe instead of dropping it, so
-//     no requester waits for a retransmission, and hands it to the new
-//     owner as soon as the grant is on the ring, so no probe starves.
+//     no requester waits for a retransmission.
+// Under every manager an old owner hands the requests it holds to the new
+// owner as soon as the grant is on the ring (through the owner map at the
+// page's manager), so no request starves behind ones sent later.
 //
 // No server resends a cached reply either: only a retransmission earns
 // one, and there is none.
@@ -54,15 +56,19 @@ RunOutcome dotprod_scatter(Runtime& rt) {
   return run_dotprod(rt, p);
 }
 
-class ZeroFaultLiveness : public testing::TestWithParam<Case> {};
-
-TEST_P(ZeroFaultLiveness, NoRecoveryOnHealthyNetwork) {
+Config contended_config(svm::ManagerKind manager) {
   Config cfg;
   cfg.nodes = 8;
   cfg.heap_pages = 24576;
   cfg.stack_region_pages = 64;
-  cfg.manager = GetParam().manager;
-  Runtime rt(std::move(cfg));
+  cfg.manager = manager;
+  return cfg;
+}
+
+class ZeroFaultLiveness : public testing::TestWithParam<Case> {};
+
+TEST_P(ZeroFaultLiveness, NoRecoveryOnHealthyNetwork) {
+  Runtime rt(contended_config(GetParam().manager));
   const RunOutcome out = GetParam().run(rt);
   ASSERT_TRUE(out.verified) << out.detail;
 
@@ -74,7 +80,10 @@ TEST_P(ZeroFaultLiveness, NoRecoveryOnHealthyNetwork) {
       c.get(Counter::kReadFaults) + c.get(Counter::kWriteFaults);
   EXPECT_GT(faults, 0u);
   if (GetParam().manager != svm::ManagerKind::kBroadcast) {
-    // Unicast managers: a fault is located in about one hop.
+    // Unicast managers: a fault is located in about one hop, plus one
+    // per early hand-off of a held request.  (jacobi here under dynamic:
+    // 2001 forwards for 1196 faults; 1219 before every manager handed
+    // held requests off behind the grant.)
     EXPECT_LE(c.get(Counter::kForwards), 2 * faults);
   } else {
     // Broadcast forwards only held probes.  Each hop trails one ownership
@@ -89,23 +98,32 @@ TEST_P(ZeroFaultLiveness, NoRecoveryOnHealthyNetwork) {
   }
 }
 
-// Broadcast owner location is fair: a held probe passes to the new owner
-// behind the grant, so the new owner meets requests in arrival order.  A
-// probe that waited for the grant-ack round trip instead reached the new
-// owner behind probes sent later, and on jacobi's hot pages the writers
-// trading ownership starved the rest for up to 276.6 ms.  The worst fault
-// is 15.0 ms now, against 16.2 ms under centralized.
-TEST(BroadcastFairness, NoWriterStarvesOnContendedJacobi) {
-  Config cfg;
-  cfg.nodes = 8;
-  cfg.heap_pages = 24576;
-  cfg.stack_region_pages = 64;
-  cfg.manager = svm::ManagerKind::kBroadcast;
-  Runtime rt(std::move(cfg));
+// Owner location is fair under every manager: a releasing owner passes
+// the requests it holds to the new owner behind the grant, so the new
+// owner meets requests in arrival order.  Requests that waited for the
+// grant-ack round trip instead reached the new owner behind requests sent
+// later; on jacobi's hot pages the writers trading ownership starved the
+// rest, for up to 276.6 ms under broadcast, 19.7 ms under dynamic,
+// 16.6 ms under fixed and 16.2 ms under centralized.  The worst fault of
+// any manager is 15.2 ms now (fixed).
+class Fairness : public testing::TestWithParam<svm::ManagerKind> {};
+
+TEST_P(Fairness, NoWriterStarvesOnContendedJacobi) {
+  Runtime rt(contended_config(GetParam()));
   const RunOutcome out = jacobi_contended(rt);
   ASSERT_TRUE(out.verified) << out.detail;
-  EXPECT_LE(rt.stats().hist(Hist::kFaultResolution).max(), ms(50));
+  EXPECT_LE(rt.stats().hist(Hist::kFaultResolution).max(), ms(16));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllManagers, Fairness,
+    testing::Values(svm::ManagerKind::kCentralized,
+                    svm::ManagerKind::kFixedDistributed,
+                    svm::ManagerKind::kDynamicDistributed,
+                    svm::ManagerKind::kBroadcast),
+    [](const testing::TestParamInfo<svm::ManagerKind>& info) {
+      return std::string(svm::to_string(info.param));
+    });
 
 std::vector<Case> cases() {
   std::vector<Case> out;

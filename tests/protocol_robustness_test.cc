@@ -1,11 +1,13 @@
 // Tests for the protocol mechanisms that keep the ownership token
 // conserved and the system live under retransmission, duplication and
 // degenerate hint states: two-phase ownership transfer (grant-ack),
-// pending-grant resend, request cancellation, bounce recovery through
-// broadcast owner location, and seed-swept stress with message drops.
+// pending-grant resend, the early hand-off through the owner map, request
+// cancellation, bounce recovery through broadcast owner location, and
+// seed-swept stress with message drops.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "ivy/ivy.h"
 #include "ivy/svm/manager.h"
@@ -225,6 +227,51 @@ TEST(BounceRecovery, MutuallyStaleHintsResolveViaBroadcast) {
   h.sim_.run_until_idle();
   h.check_single_owner(9);
   EXPECT_GT(h.stats_.total(Counter::kBroadcasts), 0u);
+}
+
+// Fixed manager, page 4: node 0 is both the page's manager (4 mod 4) and
+// its owner.  Writer A (node 1) gets the grant; writer B's (node 2) write
+// fault reaches node 0 while that grant is on the ring, so node 0 hands
+// it off at once.  The hand-off is the manager's forward: the owner map
+// records B behind A.  Handed straight to A, the map would keep naming A,
+// and A's own next fault would look like a re-issue, routed along the
+// history back to node 0 and bounced until a broadcast located the page.
+TEST(OwnerMapHandOff, ManagerRecordsWriterHandedOffBehindGrant) {
+  Harness h(4, ManagerKind::kFixedDistributed);
+  constexpr PageId kPage = 4;
+  int handed_off = 0;
+  h.ring_.set_drop_hook([&](const net::Message& m) {
+    if (m.kind == net::MsgKind::kWriteFault && !m.is_reply && m.src == 0 &&
+        m.origin == 2) {
+      EXPECT_EQ(m.dst, 1u);
+      EXPECT_EQ(h.at(0).granted_to(kPage), 1u);
+      ++handed_off;
+    }
+    return false;
+  });
+  std::vector<NodeId> completed;
+  h.at(1).request_access(kPage, Access::kWrite,
+                         [&] { completed.push_back(1); });
+  h.sim_.run_while([&] { return h.at(0).granted_to(kPage) == kNoNode; });
+  ASSERT_EQ(h.at(0).granted_to(kPage), 1u);
+  h.at(2).request_access(kPage, Access::kWrite,
+                         [&] { completed.push_back(2); });
+  h.sim_.run_until_idle();
+  ASSERT_EQ(handed_off, 1);
+  EXPECT_EQ(completed, (std::vector<NodeId>{1, 2}));  // B queued behind A
+  EXPECT_TRUE(h.at(2).table().at(kPage).owned);
+  h.check_single_owner(kPage);
+
+  // A writes again: the map names B as the tail, so A's request takes one
+  // manager hop to B and no bounce.
+  const auto forwards = h.stats_.total(Counter::kForwards);
+  h.ensure(1, kPage, Access::kWrite);
+  EXPECT_EQ(h.stats_.total(Counter::kForwards), forwards + 1);
+  EXPECT_TRUE(h.at(1).table().at(kPage).owned);
+  h.check_single_owner(kPage);
+  EXPECT_EQ(h.stats_.total(Counter::kBroadcasts), 0u);
+  EXPECT_EQ(h.stats_.total(Counter::kRetransmissions), 0u);
+  EXPECT_EQ(h.stats_.total(Counter::kRpcFailures), 0u);
 }
 
 TEST(RpcCancel, CancelledRequestFiresNoCallbackAndOrphansReply) {
