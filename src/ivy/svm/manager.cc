@@ -91,14 +91,20 @@ void Manager::on_fault_request(net::Message&& msg) {
     forward(std::move(msg), page, entry.prob_owner);
     return;
   }
-  if (entry.busy()) {
+  if (entry.busy() &&
+      (entry.owned || entry.fault_level == Access::kWrite ||
+       msg.kind == net::MsgKind::kWriteFault)) {
     // Mid fault, in post-fault grace, or holding a pending ownership
     // transfer: hold the request and replay it once the page settles —
     // no timer.  Under the dynamic manager this is the paper's
     // distributed queue: a write faulter holds the requests its forwarded
-    // request's probOwner rewrites sent its way.  A broadcast probe
-    // reaches here only at an owner, and its held copy becomes the
-    // request's only live copy.
+    // request's probOwner rewrites sent its way.  Only owners and
+    // owners-to-be hold: a read request at a node whose own fault (or
+    // grace) is a read is routed at once, as an idle node would — that
+    // node will hold no token to serve it with, and holding it there
+    // chains every concurrent reader's wait behind the others'.  A
+    // broadcast probe reaches here only at an owner, and its held copy
+    // becomes the request's only live copy.
     if (payload.broadcast) {
       FaultPayload held = payload;
       held.broadcast = false;

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "ivy/base/check.h"
@@ -129,53 +131,56 @@ struct PageEntry {
   std::vector<net::Message> deferred_requests;
 };
 
+/// Entries live in fixed chunks of kChunkPages, allocated on the first
+/// mutable lookup of one of their pages.  Most of a large address space is
+/// never touched by a given node, so its table costs one null pointer per
+/// chunk; reads of an untouched page see the initial entry.
 class PageTable {
  public:
-  explicit PageTable(const Geometry& geo, NodeId initial_owner, NodeId self)
-      : entries_(geo.num_pages) {
-    for (auto& e : entries_) {
-      e.prob_owner = initial_owner;
-      if (self == initial_owner) {
-        // "the probOwner field of every entry on all processors is set to
-        // some default processor that can be considered the initial owner"
-        e.owned = true;
-        e.access = Access::kWrite;
-      }
+  explicit PageTable(const Geometry& geo, NodeId initial_owner, NodeId self) {
+    initial_.prob_owner = initial_owner;
+    if (self == initial_owner) {
+      // "the probOwner field of every entry on all processors is set to
+      // some default processor that can be considered the initial owner"
+      initial_.owned = true;
+      initial_.access = Access::kWrite;
     }
+    grow(geo.num_pages);
   }
 
   [[nodiscard]] PageEntry& at(PageId page) {
-    IVY_CHECK_LT(page, entries_.size());
-    return entries_[page];
+    IVY_CHECK_LT(page, num_pages_);
+    std::unique_ptr<Chunk>& chunk = chunks_[page / kChunkPages];
+    if (chunk == nullptr) {
+      chunk = std::make_unique<Chunk>();
+      chunk->fill(initial_);
+    }
+    return (*chunk)[page % kChunkPages];
   }
   [[nodiscard]] const PageEntry& at(PageId page) const {
-    IVY_CHECK_LT(page, entries_.size());
-    return entries_[page];
+    IVY_CHECK_LT(page, num_pages_);
+    const std::unique_ptr<Chunk>& chunk = chunks_[page / kChunkPages];
+    return chunk != nullptr ? (*chunk)[page % kChunkPages] : initial_;
   }
 
-  [[nodiscard]] PageId num_pages() const {
-    return static_cast<PageId>(entries_.size());
-  }
+  [[nodiscard]] PageId num_pages() const { return num_pages_; }
 
-  /// Extends the table to `new_num_pages`, initializing the new entries
-  /// exactly as the constructor does (no-op if already that large).
-  /// Growth invalidates PageEntry references — callers must re-look up.
-  void grow(PageId new_num_pages, NodeId initial_owner, NodeId self) {
-    if (new_num_pages <= entries_.size()) return;
-    const std::size_t old_size = entries_.size();
-    entries_.resize(new_num_pages);
-    for (std::size_t i = old_size; i < entries_.size(); ++i) {
-      PageEntry& e = entries_[i];
-      e.prob_owner = initial_owner;
-      if (self == initial_owner) {
-        e.owned = true;
-        e.access = Access::kWrite;
-      }
-    }
+  /// Extends the table to `new_num_pages` (no-op if already that large);
+  /// the new pages start as the initial entry.  Chunks never move, so
+  /// PageEntry references survive growth.
+  void grow(PageId new_num_pages) {
+    if (new_num_pages <= num_pages_) return;
+    num_pages_ = new_num_pages;
+    chunks_.resize((new_num_pages + kChunkPages - 1) / kChunkPages);
   }
 
  private:
-  std::vector<PageEntry> entries_;
+  static constexpr PageId kChunkPages = 256;
+  using Chunk = std::array<PageEntry, kChunkPages>;
+
+  PageEntry initial_;  ///< what every untouched page reads as
+  PageId num_pages_ = 0;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
 };
 
 }  // namespace ivy::svm

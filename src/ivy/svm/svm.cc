@@ -269,9 +269,8 @@ void Svm::defer_request(PageId page, net::Message&& msg) {
 
 void Svm::invalidate_copies(PageId page, std::function<void()> done) {
   // Copy everything needed out of the entry up front: the event sink
-  // and the ack continuations below are callouts that may mutate the page
-  // table — growing it (grow_table) reallocates the entry vector, so a
-  // PageEntry reference must never be held across them.
+  // and the ack continuations below are callouts that may change the
+  // entry before the round completes.
   const NodeSet copyset = table_.at(page).copyset;
   const std::uint64_t version = table_.at(page).version;
   if (copyset.empty()) {
@@ -693,7 +692,7 @@ void Svm::adopt_page(const PageTransfer& transfer) {
 
 void Svm::grow_table(PageId new_num_pages) {
   if (new_num_pages <= table_.num_pages()) return;
-  table_.grow(new_num_pages, options_.initial_owner, self_);
+  table_.grow(new_num_pages);
   options_.geo.num_pages = new_num_pages;
   manager_->on_table_grown(new_num_pages);
 }

@@ -118,8 +118,7 @@ class Svm {
   /// Extends the shared address space to `new_num_pages` pages at
   /// runtime.  Every node must perform the same growth (the space is
   /// shared); new pages start owned by the configured initial owner.
-  /// Safe mid-protocol: PageEntry references are never held across the
-  /// async resume points where this can run.
+  /// Safe mid-protocol: PageEntry references survive growth.
   void grow_table(PageId new_num_pages);
 
   // --- plumbing ---------------------------------------------------------

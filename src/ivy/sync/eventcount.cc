@@ -82,57 +82,43 @@ void Eventcount::advance() {
 
 void Eventcount::wait(std::int64_t value) {
   proc::Scheduler* sched = proc::Scheduler::current_scheduler();
-  const std::size_t cap =
-      capacity(sched->svm().geometry().page_size, pages_);
-  Time wait_start = 0;
-  bool blocked = false;
-  for (;;) {
-    acquire();
-    if (proc::svm_read<std::int64_t>(base_ + kValueOff) >= value) {
-      if (blocked) {
-        const Time dur = sched->simulator().now() - wait_start;
-        sched->stats().record_latency(sched->node(), Hist::kEcWait, dur);
-        IVY_EVT(sched->stats(),
-                record_span(sched->node(), trace::EventKind::kEcWait,
-                            wait_start, dur,
-                            sched->svm().geometry().page_of(base_),
-                            static_cast<std::uint64_t>(value)));
-        IVY_PROF(sched->stats(),
-                 end_wait(sched->node(), prof::Domain::kSync,
-                          sched->svm().geometry().page_of(base_),
-                          sched->simulator().now()));
-      }
-      return;
-    }
-    if (!blocked) {
-      blocked = true;
-      wait_start = sched->simulator().now();
-      IVY_PROF(sched->stats(),
-               begin_wait(sched->node(), prof::Cat::kSyncWait,
-                          prof::Domain::kSync,
-                          sched->svm().geometry().page_of(base_), wait_start));
-    }
+  acquire();
+  if (proc::svm_read<std::int64_t>(base_ + kValueOff) >= value) return;
 
-    const auto nwaiters = proc::svm_read<std::uint32_t>(base_ + kNWaitersOff);
-    IVY_CHECK_MSG(nwaiters < cap,
-                  "eventcount waiter overflow (page too small)");
-    proc::Pcb* pcb = proc::Scheduler::current_pcb();
-    WaitRecord rec;
-    rec.home = pcb->id.home;
-    rec.pcb_index = pcb->id.pcb_index;
-    rec.serial = pcb->id.serial;
-    rec.epoch = pcb->block_epoch + 1;  // the epoch of the upcoming block
-    rec.target = value;
-    proc::svm_write<WaitRecord>(
-        base_ + kRecordsOff + nwaiters * sizeof(WaitRecord), rec);
-    proc::svm_write<std::uint32_t>(base_ + kNWaitersOff, nwaiters + 1);
-    sched->stats().bump(sched->node(), Counter::kEcWaits);
+  const PageId page = sched->svm().geometry().page_of(base_);
+  const Time wait_start = sched->simulator().now();
+  IVY_PROF(sched->stats(),
+           begin_wait(sched->node(), prof::Cat::kSyncWait, prof::Domain::kSync,
+                      page, wait_start));
+  const auto nwaiters = proc::svm_read<std::uint32_t>(base_ + kNWaitersOff);
+  IVY_CHECK_MSG(nwaiters < capacity(sched->svm().geometry().page_size, pages_),
+                "eventcount waiter overflow (page too small)");
+  proc::Pcb* pcb = proc::Scheduler::current_pcb();
+  WaitRecord rec;
+  rec.home = pcb->id.home;
+  rec.pcb_index = pcb->id.pcb_index;
+  rec.serial = pcb->id.serial;
+  rec.epoch = pcb->block_epoch + 1;  // the epoch of the upcoming block
+  rec.target = value;
+  proc::svm_write<WaitRecord>(
+      base_ + kRecordsOff + nwaiters * sizeof(WaitRecord), rec);
+  proc::svm_write<std::uint32_t>(base_ + kNWaitersOff, nwaiters + 1);
+  sched->stats().bump(sched->node(), Counter::kEcWaits);
 
-    // No blocking point separates the record write from this yield, so
-    // an advancer can only observe the record once we are suspended.
-    proc::Scheduler::block_current(nullptr);
-    // Re-check on wakeup (monotone value makes this a formality).
-  }
+  // No blocking point separates the record write from this yield, so
+  // an advancer can only observe the record once we are suspended.
+  proc::Scheduler::block_current(nullptr);
+  // Only advance() ends this block (resume is epoch-guarded), and only
+  // once the value reached the target, which it never leaves (the value
+  // is monotone): no re-check, so a woken waiter does not fault the page
+  // back in.
+  const Time dur = sched->simulator().now() - wait_start;
+  sched->stats().record_latency(sched->node(), Hist::kEcWait, dur);
+  IVY_EVT(sched->stats(),
+          record_span(sched->node(), trace::EventKind::kEcWait, wait_start,
+                      dur, page, static_cast<std::uint64_t>(value)));
+  IVY_PROF(sched->stats(), end_wait(sched->node(), prof::Domain::kSync, page,
+                                    sched->simulator().now()));
 }
 
 }  // namespace ivy::sync

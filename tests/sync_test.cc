@@ -92,7 +92,10 @@ TEST(Eventcount, WakesOnlyWaitersWhoseTargetReached) {
 }
 
 TEST(Eventcount, ManyWaitersAcrossNodesAllWake) {
-  runtime::Runtime rt(nodes(8));
+  runtime::Config cfg = nodes(8);
+  cfg.trace_enabled = true;
+  cfg.trace_capacity = 1 << 14;
+  runtime::Runtime rt(std::move(cfg));
   auto ec = rt.create_eventcount();
   auto woke = rt.alloc_array<std::uint32_t>(8);
   for (NodeId n = 1; n < 8; ++n) {
@@ -108,6 +111,19 @@ TEST(Eventcount, ManyWaitersAcrossNodesAllWake) {
   rt.run();
   for (NodeId n = 1; n < 8; ++n) EXPECT_EQ(rt.host_read(woke, n), 1u);
   EXPECT_GT(rt.stats().total(Counter::kEcRemoteWakeups), 0u);
+
+  // A woken waiter returns without touching the eventcount page again:
+  // the page takes one write fault per wait() and one for the advance(),
+  // not a second round of re-check faults after the wakeup (15 faults).
+  const PageId page = rt.svm(0).geometry().page_of(ec.address());
+  ASSERT_EQ(rt.tracer().dropped(), 0u);
+  std::uint64_t write_faults = 0;
+  rt.tracer().for_each([&](const trace::Event& e) {
+    if (e.kind == trace::EventKind::kWriteFault && e.arg0 == page) {
+      ++write_faults;
+    }
+  });
+  EXPECT_EQ(write_faults, 8u);
 }
 
 TEST(Eventcount, InitResetsValue) {
