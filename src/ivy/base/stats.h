@@ -270,13 +270,13 @@ class Stats {
   // --- event tracer hook --------------------------------------------------
 
   /// Tracer recording structured events for this machine, or nullptr when
-  /// tracing is disabled (IVY_EVT checks exactly this pointer — the whole
-  /// disabled-path cost).  Stats does not own the tracer.
+  /// tracing is disabled (each plane's emit point tests exactly this
+  /// pointer — the whole disabled-path cost).  Stats does not own it.
   [[nodiscard]] trace::Tracer* tracer() const noexcept { return tracer_; }
   void set_tracer(trace::Tracer* tracer) noexcept { tracer_ = tracer; }
 
   /// Cost-attribution profiler, or nullptr when profiling is disarmed
-  /// (IVY_PROF checks exactly this pointer).  Stats does not own it.
+  /// (the emit points test exactly this pointer).  Stats does not own it.
   [[nodiscard]] prof::Profiler* prof() const noexcept { return prof_; }
   void set_prof(prof::Profiler* prof) noexcept { prof_ = prof; }
 

@@ -23,9 +23,11 @@ FaultPlane::FaultPlane(FaultSpec spec, std::uint64_t seed, Stats& stats,
 void FaultPlane::account(const net::Message& msg, FaultType type) {
   ++injected_[static_cast<std::size_t>(type)];
   stats_.bump(msg.src, Counter::kFaultsInjected);
-  IVY_EVT(stats_, record(msg.src, trace::EventKind::kFaultInjected,
-                         static_cast<std::uint64_t>(msg.kind),
-                         static_cast<std::uint64_t>(type)));
+  if (trace::Tracer* tr = stats_.tracer()) {
+    tr->record(msg.src, trace::EventKind::kFaultInjected,
+               static_cast<std::uint64_t>(msg.kind),
+               static_cast<std::uint64_t>(type));
+  }
 }
 
 FaultPlane::Plan FaultPlane::plan_delivery(const net::Message& msg,

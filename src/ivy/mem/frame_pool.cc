@@ -7,11 +7,10 @@
 
 namespace ivy::mem {
 
-FramePool::FramePool(Stats& stats, NodeId node, std::size_t page_size,
+FramePool::FramePool(NodeId node, std::size_t page_size,
                      std::size_t capacity_frames, ReplacementPolicy policy,
                      std::uint64_t seed)
-    : stats_(stats),
-      node_(node),
+    : node_(node),
       page_size_(page_size),
       capacity_(capacity_frames),
       policy_(policy),
@@ -108,7 +107,6 @@ void FramePool::evict_one() {
       unevictable[idx] = true;
       continue;
     }
-    stats_.bump(node_, Counter::kEvictions);
     IVY_TRACE() << "node " << node_ << " evicts page " << victim.page;
     remove_at(idx);
     return;

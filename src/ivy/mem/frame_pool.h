@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "ivy/base/rng.h"
-#include "ivy/base/stats.h"
 #include "ivy/base/types.h"
 
 namespace ivy::mem {
@@ -54,7 +53,7 @@ class FramePool {
   using EvictCallback =
       std::function<EvictAction(PageId, std::span<const std::byte>)>;
 
-  FramePool(Stats& stats, NodeId node, std::size_t page_size,
+  FramePool(NodeId node, std::size_t page_size,
             std::size_t capacity_frames,
             ReplacementPolicy policy = ReplacementPolicy::kSampledLru,
             std::uint64_t seed = 0x1988);
@@ -113,7 +112,6 @@ class FramePool {
       const std::vector<bool>& unevictable);
   void remove_at(std::size_t idx);
 
-  Stats& stats_;
   NodeId node_;
   std::size_t page_size_;
   std::size_t capacity_;

@@ -33,17 +33,12 @@ enum class MsgKind : std::uint16_t {
 
   // process management
   kMigrateAsk = 0x200,      ///< idle node → loaded node: give me work
-  kMigrateMove = 0x201,     ///< loaded node → idle node: PCB + stack handoff
   kRemoteResume = 0x202,    ///< wake a process on another node
-  kProcForwarded = 0x203,   ///< PID operation chasing a forwarding pointer
   kLoadHint = 0x204,        ///< broadcast of scheduling hints (no reply)
 
   // memory allocation
   kAllocRequest = 0x300,
   kFreeRequest = 0x301,
-
-  // eventcount remote operations
-  kEcWakeup = 0x400,
 };
 
 /// The roster of kinds with their names: to_string() and the fault
@@ -63,13 +58,10 @@ inline constexpr MsgKindName kMsgKindNames[] = {
     {MsgKind::kGrantAck, "grant_ack"},
     {MsgKind::kGrantPush, "grant_push"},
     {MsgKind::kMigrateAsk, "migrate_ask"},
-    {MsgKind::kMigrateMove, "migrate_move"},
     {MsgKind::kRemoteResume, "remote_resume"},
-    {MsgKind::kProcForwarded, "proc_forwarded"},
     {MsgKind::kLoadHint, "load_hint"},
     {MsgKind::kAllocRequest, "alloc_request"},
     {MsgKind::kFreeRequest, "free_request"},
-    {MsgKind::kEcWakeup, "ec_wakeup"},
 };
 
 [[nodiscard]] const char* to_string(MsgKind kind);
@@ -80,7 +72,7 @@ struct Message {
 
   /// Stations addressed by a kMulticast frame (ignored otherwise).  Part
   /// of the frame header, so it is checksummed.
-  NodeSet mcast;
+  NodeSet mcast{};
   MsgKind kind = MsgKind::kInvalid;
 
   /// Correlation id assigned by the rpc layer.  Replies and duplicate

@@ -4,7 +4,6 @@
 
 #include "ivy/base/check.h"
 #include "ivy/base/log.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::net {
 
@@ -43,19 +42,10 @@ void Ring::send(Message msg) {
   busy_until_ = start + duration;
   const Time arrival = busy_until_ + costs.msg_latency;
 
-  stats_.bump(msg.src, Counter::kBytesOnRing,
-              msg.wire_bytes + costs.msg_overhead_bytes);
-  if (broadcast) {
-    stats_.bump(msg.src, Counter::kBroadcasts);
-  } else if (multicast) {
-    stats_.bump(msg.src, Counter::kMulticasts);
-  } else {
-    stats_.bump(msg.src, Counter::kMessages);
-  }
   // The span covers the frame's time on the wire (queueing excluded).
-  IVY_EVT(stats_, record_span(msg.src, trace::EventKind::kMsgSend, start,
-                              duration, static_cast<std::uint64_t>(msg.kind),
-                              broadcast || multicast ? kMaxNodes : msg.dst));
+  emit({.kind = EventKind::kFrameSent, .node = msg.src, .peer = msg.dst,
+        .msg = msg.kind, .wire_bytes = msg.wire_bytes, .start = start,
+        .span = duration});
 
   if (drop_hook_ && drop_hook_(msg)) {
     IVY_DEBUG() << "ring drop " << to_string(msg.kind) << " " << msg.src
@@ -118,9 +108,8 @@ void Ring::deliver_at(Time when, NodeId dst, Message msg) {
       // Bad frame check sequence: the station discards the frame, so
       // corruption degrades to loss and the retransmission protocol
       // recovers.  Charged to the receiver, where the check runs.
-      stats_.bump(dst, Counter::kChecksumDrops);
-      IVY_EVT(stats_, record(dst, trace::EventKind::kMsgCorrupted,
-                             static_cast<std::uint64_t>(m.kind), m.src));
+      emit({.kind = EventKind::kChecksumDrop, .node = dst, .peer = m.src,
+            .msg = m.kind});
       IVY_DEBUG() << "checksum drop " << to_string(m.kind) << " " << m.src
                   << "->" << dst;
       return;

@@ -45,6 +45,24 @@ class FaultHook {
   virtual Plan plan_delivery(const Message& msg, NodeId recipient) = 0;
 };
 
+/// One record per ring transition.  Each is reported once, by Ring::emit
+/// (event.cc), the only net code that feeds the counters and tracer.
+/// DESIGN.md §2 maps kinds to consumers.
+enum class EventKind : std::uint8_t {
+  kFrameSent,     ///< node's frame to peer held the medium [start, +span)
+  kChecksumDrop,  ///< node discarded peer's frame: bad frame check sequence
+};
+
+struct Event {
+  EventKind kind = EventKind::kFrameSent;
+  NodeId node = kNoNode;
+  NodeId peer = kNoNode;  ///< kBroadcast / kMulticast for a fan-out frame
+  MsgKind msg = MsgKind::kInvalid;
+  std::uint32_t wire_bytes = 0;
+  Time start = 0;
+  Time span = 0;
+};
+
 class Ring {
  public:
   using Handler = std::function<void(Message&&)>;
@@ -76,6 +94,8 @@ class Ring {
   [[nodiscard]] Time busy_until() const noexcept { return busy_until_; }
 
  private:
+  /// Reports a transition to every consumer (event.cc).
+  void emit(const Event& e);
   void deliver_at(Time when, NodeId dst, Message msg);
   void deliver_planned(Time arrival, NodeId dst, const Message& msg);
 

@@ -9,8 +9,6 @@
 // message); this file decides when to ask whom.
 #include "ivy/base/log.h"
 #include "ivy/proc/scheduler.h"
-#include "ivy/prof/prof.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::proc {
 
@@ -72,27 +70,19 @@ void Scheduler::null_tick() {
   migrate_ask_inflight_ = true;
   IVY_DEBUG() << "idle node " << node_ << " asks node " << target
               << " for work (hint " << best << ")";
-  // One migrate-ask in flight per node, so the wait key is constant.
-  IVY_PROF(stats_, begin_wait(node_, prof::Cat::kMigration,
-                              prof::Domain::kMigrate, 0, sim_.now(), target));
+  emit({.kind = EventKind::kMigrateAsked, .peer = target});
   rpc_.request(
       target, net::MsgKind::kMigrateAsk, MigrateAskPayload{slot.id},
       MigrateAskPayload::kWireBytes,
       [this, &slot, asked = sim_.now()](net::Message&& reply) {
         migrate_ask_inflight_ = false;
-        IVY_PROF(stats_,
-                 end_wait(node_, prof::Domain::kMigrate, 0, sim_.now()));
         auto payload = std::any_cast<MigrateReplyPayload>(reply.payload);
         if (payload.accepted) {
-          // The migration latency is ask-to-install: PCB + stack pages
-          // crossing the ring dominate it.
-          const Time dur = sim_.now() - asked;
-          stats_.record_latency(node_, Hist::kMigration, dur);
-          IVY_EVT(stats_, record_span(node_, trace::EventKind::kMigrateIn,
-                                      asked, dur, slot.id.pcb_index,
-                                      reply.src));
+          emit({.kind = EventKind::kMigratedIn, .id = slot.id.pcb_index,
+                .peer = reply.src, .start = asked});
           install_transfer(slot, std::move(*payload.transfer));
         } else {
+          emit({.kind = EventKind::kMigrateDenied});
           slot.state = ProcState::kFinished;  // reservation abandoned
         }
         maybe_arm_null_timer();

@@ -11,7 +11,6 @@
 // this file implements the grant/refuse decision and reincarnation.
 #include "ivy/base/log.h"
 #include "ivy/proc/scheduler.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::proc {
 
@@ -19,7 +18,7 @@ void Scheduler::on_migrate_ask(net::Message&& msg) {
   const auto ask = std::any_cast<MigrateAskPayload>(msg.payload);
 
   auto refuse = [&] {
-    stats_.bump(node_, Counter::kMigrationRejects);
+    emit({.kind = EventKind::kMigrationRefused});
     rpc_.reply_to(msg, MigrateReplyPayload{}, 16);
   };
 
@@ -70,9 +69,8 @@ void Scheduler::on_migrate_ask(net::Message&& msg) {
   victim.state = ProcState::kMigrated;
   victim.forward_to = ask.reserved;
   --proc_count_;
-  stats_.bump(node_, Counter::kMigrations);
-  IVY_EVT(stats_, record(node_, trace::EventKind::kMigrateOut,
-                         victim.id.pcb_index, msg.origin));
+  emit({.kind = EventKind::kMigratedOut, .id = victim.id.pcb_index,
+        .peer = msg.origin});
   IVY_DEBUG() << "node " << node_ << " migrates proc " << victim.id.pcb_index
               << " to node " << msg.origin;
 

@@ -5,8 +5,6 @@
 
 #include "ivy/base/log.h"
 #include "ivy/proc/svm_io.h"
-#include "ivy/prof/prof.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::proc {
 namespace {
@@ -78,15 +76,13 @@ ProcId Scheduler::spawn(std::function<void()> body, bool migratable) {
       },
       config_.fiber_stack_bytes);
 
-  stats_.bump(node_, Counter::kProcSpawns);
-  IVY_EVT(stats_, record(node_, trace::EventKind::kProcSpawn, pcb.id.pcb_index));
   ++proc_count_;
   ++live_.live;
   // Creation bookkeeping occupies this node's CPU briefly.
   const Time create_from = std::max(busy_until_, sim_.now());
   busy_until_ = create_from + sim_.costs().proc_create;
-  IVY_PROF(stats_, charge_busy(node_, create_from, busy_until_,
-                               prof::Cat::kSchedOverhead));
+  emit({.kind = EventKind::kSpawned, .id = pcb.id.pcb_index,
+        .start = create_from, .span = sim_.costs().proc_create});
   pcb.state = ProcState::kBlocked;  // make_ready flips it
   make_ready(pcb);
   return pcb.id;
@@ -154,7 +150,7 @@ void Scheduler::dispatch() {
   // not a real context switch; only genuine switches cost time.
   Time switch_cost = 0;
   if (pcb != last_dispatched_) {
-    stats_.bump(node_, Counter::kContextSwitches);
+    emit({.kind = EventKind::kContextSwitch});
     switch_cost = sim_.costs().context_switch;
   }
   last_dispatched_ = pcb;
@@ -171,8 +167,8 @@ void Scheduler::dispatch() {
   const Time svm_charge = svm_.take_pending_charge();
   const Time delta = switch_cost + fiber_charge + svm_charge;
   busy_until_ = sim_.now() + delta;
-  IVY_PROF(stats_, commit_dispatch(node_, sim_.now(), switch_cost,
-                                   fiber_charge, svm_charge));
+  emit({.kind = EventKind::kDispatched, .span = switch_cost,
+        .fiber_charge = fiber_charge, .svm_charge = svm_charge});
   running_ = nullptr;
 
   switch (reason) {
@@ -205,8 +201,7 @@ void Scheduler::dispatch() {
 }
 
 void Scheduler::finish(Pcb& pcb) {
-  IVY_EVT(stats_,
-          record(node_, trace::EventKind::kProcFinish, pcb.id.pcb_index));
+  emit({.kind = EventKind::kFinished, .id = pcb.id.pcb_index});
   pcb.state = ProcState::kFinished;
   pcb.fiber.reset();
   --proc_count_;
@@ -228,11 +223,10 @@ Pcb* Scheduler::current_pcb() noexcept { return g_current_pcb; }
 void Scheduler::charge_current(Time t) {
   Pcb* pcb = g_current_pcb;
   IVY_CHECK_MSG(pcb != nullptr, "charge_current outside a process");
+  // Sole fiber-charge funnel, and the hottest path: it reports nothing.
+  // The dispatch commit counts the charge as compute unless a
+  // kSpinCharged event claimed part of it.
   pcb->fiber->charge(t);
-  // Sole fiber-charge funnel: remember the charge under the active
-  // ChargeScope category so the dispatch commit can split the busy span.
-  Scheduler* sched = g_current_sched;
-  IVY_PROF(sched->stats_, note_fiber_charge(sched->node_, t));
 }
 
 void Scheduler::stall(Time t) {
@@ -243,7 +237,7 @@ void Scheduler::stall(Time t) {
   // here too would double-book it.  Event-context stalls (remote disk
   // work, evictions during message service) are only visible here.
   if (running_ == nullptr) {
-    IVY_PROF(stats_, charge_busy(node_, from, busy_until_, prof::Cat::kDisk));
+    emit({.kind = EventKind::kStalled, .start = from, .span = t});
   }
 }
 
@@ -256,21 +250,16 @@ void Scheduler::set_migratable(bool migratable) {
 void Scheduler::resume(ProcId pid, std::uint32_t epoch) {
   if (pid.home == node_) {
     Pcb& pcb = pcb_of(pid);
-    if (pcb.state == ProcState::kMigrated) {
-      // Chase the forwarding pointer.
-      stats_.bump(node_, Counter::kEcRemoteWakeups);
-      rpc_.request(pcb.forward_to.home, net::MsgKind::kRemoteResume,
-                   ResumePayload{pcb.forward_to, epoch},
-                   ResumePayload::kWireBytes, [](net::Message&&) {});
+    if (pcb.state != ProcState::kMigrated) {
+      if (pcb.state == ProcState::kBlocked && epoch != pcb.block_epoch) {
+        return;  // stale wakeup for an earlier wait
+      }
+      make_ready(pcb);
       return;
     }
-    if (pcb.state == ProcState::kBlocked && epoch != pcb.block_epoch) {
-      return;  // stale wakeup for an earlier wait
-    }
-    make_ready(pcb);
-    return;
+    pid = pcb.forward_to;  // chase the forwarding pointer
   }
-  stats_.bump(node_, Counter::kEcRemoteWakeups);
+  emit({.kind = EventKind::kRemoteWakeup});
   rpc_.request(pid.home, net::MsgKind::kRemoteResume,
                ResumePayload{pid, epoch}, ResumePayload::kWireBytes,
                [](net::Message&&) {});

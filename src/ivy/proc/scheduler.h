@@ -37,6 +37,47 @@ struct SchedConfig {
   std::size_t fiber_stack_bytes = sim::Fiber::kDefaultStackBytes;
 };
 
+/// One record per scheduling, migration or synchronization transition.
+/// Each is reported once, by Scheduler::emit (event.cc), the only proc or
+/// sync code that feeds the counters, histograms, tracer and profiler.
+/// DESIGN.md §2 maps kinds to consumers.
+enum class EventKind : std::uint8_t {
+  // processes (id = pcb index)
+  kSpawned,          ///< created; its bookkeeping holds the CPU [start, +span)
+  kContextSwitch,    ///< the dispatcher switches to another process
+  kDispatched,       ///< a yield commits switch (span), fiber and svm charges
+  kFinished,         ///< completed
+  kSpinCharged,      ///< span of the running fiber's charge was lock
+                     ///  bookkeeping (test-and-set); the rest is compute
+  kStalled,          ///< event-context disk work holds the CPU [start, +span)
+  kRemoteWakeup,     ///< a wake-up leaves this node by message
+  // migration (id = pcb index, peer = the other node)
+  kMigrateAsked,     ///< the idle node asks peer for work
+  kMigrateDenied,    ///< ...and peer had none to give
+  kMigratedIn,       ///< ...or handed over a process; start = the ask
+  kMigrationRefused, ///< this node refused a migrate-ask
+  kMigratedOut,      ///< a process left for peer
+  // synchronization (id = the primitive's page)
+  kEcAdvanced,       ///< an eventcount reached value
+  kEcBlocked,        ///< a Wait blocks
+  kEcWoken,          ///< ...and was woken; start = block, value = target
+  kLockSpun,         ///< a test-and-set found the lock held
+  kLockAcquired,     ///< a test-and-set took the lock
+  kLockBlocked,      ///< a contended lock() starts waiting
+  kLockWaited,       ///< ...and got the lock; start = first failure
+};
+
+struct Event {
+  EventKind kind = EventKind::kSpawned;
+  std::uint64_t id = 0;
+  NodeId peer = kNoNode;
+  std::int64_t value = 0;
+  Time start = 0;
+  Time span = 0;
+  Time fiber_charge = 0;  ///< kDispatched only
+  Time svm_charge = 0;    ///< kDispatched only
+};
+
 /// Shared across all schedulers of a machine: global liveness so idle
 /// timers stop when the computation is over.
 struct LiveCounter {
@@ -95,11 +136,13 @@ class Scheduler {
   [[nodiscard]] std::uint8_t load_hint() const {
     return static_cast<std::uint8_t>(std::min(proc_count_, 255));
   }
-  [[nodiscard]] Time cpu_busy_until() const { return busy_until_; }
 
   /// Occupies this node's CPU for `t` starting now (disk I/O without
   /// overlap, per the paper's IVY).
   void stall(Time t);
+
+  /// Reports a transition of this node to every consumer (event.cc).
+  void emit(const Event& e);
 
  private:
   void schedule_dispatch();

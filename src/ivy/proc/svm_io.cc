@@ -38,16 +38,6 @@ void ensure_access(SvmAddr addr, std::size_t len, svm::Access want) {
   }
 }
 
-void svm_read_span(SvmAddr addr, std::span<std::byte> out) {
-  ensure_access(addr, out.size(), svm::Access::kRead);
-  Scheduler::current_scheduler()->svm().read_bytes(addr, out);
-}
-
-void svm_write_span(SvmAddr addr, std::span<const std::byte> in) {
-  ensure_access(addr, in.size(), svm::Access::kWrite);
-  Scheduler::current_scheduler()->svm().write_bytes(addr, in);
-}
-
 void charge_compute(std::int64_t units) {
   Scheduler* sched = Scheduler::current_scheduler();
   IVY_CHECK_MSG(sched != nullptr, "charge_compute outside a process");

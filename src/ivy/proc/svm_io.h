@@ -39,10 +39,6 @@ void svm_write(SvmAddr addr, const T& value) {
       addr, std::as_bytes(std::span(&value, 1)));
 }
 
-/// Bulk variants (one rights check per touched page, one byte copy).
-void svm_read_span(SvmAddr addr, std::span<std::byte> out);
-void svm_write_span(SvmAddr addr, std::span<const std::byte> in);
-
 /// Charges `units` of application compute to the running process.
 void charge_compute(std::int64_t units);
 

@@ -80,17 +80,6 @@ const char* domain_prefix(Domain d) {
   return "";
 }
 
-ChargeScope::ChargeScope(Profiler* prof, Cat cat) : prof_(prof) {
-  if (prof_ != nullptr) {
-    prev_ = prof_->scope();
-    prof_->set_scope(cat);
-  }
-}
-
-ChargeScope::~ChargeScope() {
-  if (prof_ != nullptr) prof_->set_scope(prev_);
-}
-
 Profiler::Profiler(NodeId nodes, Time slice) : slice_(slice) {
   IVY_CHECK_GT(nodes, 0u);
   IVY_CHECK_GE(slice, 0);
@@ -246,9 +235,9 @@ void Profiler::push_mark(NodeId node, Mark m) {
 
 // --- busy side --------------------------------------------------------
 
-void Profiler::note_fiber_charge(NodeId node, Time t) {
+void Profiler::note_fiber_charge(NodeId node, Time t, Cat cat) {
   if (frozen_ || t <= 0) return;
-  nodes_[node].fiber_acc[static_cast<std::size_t>(scope_)] += t;
+  nodes_[node].fiber_acc[static_cast<std::size_t>(cat)] += t;
 }
 
 void Profiler::charge_busy(NodeId node, Time from, Time to, Cat cat) {
@@ -270,11 +259,14 @@ void Profiler::commit_dispatch(NodeId node, Time now, Time switch_cost,
     charge_busy(node, t, t + switch_cost, Cat::kSchedOverhead);
     t += switch_cost;
   }
-  // Split the fiber's accumulated charge by the ChargeScope categories
-  // noted while it ran; whatever the scopes do not explain is plain
-  // application compute.  The scoped sum normally equals the charge
-  // exactly (charge_current is the only funnel) but clamping keeps the
-  // invariant under any future charge path the scopes miss.
+  // Split the fiber's accumulated charge by category, in category order:
+  // whatever the notes made while it ran do not explain is plain
+  // application compute.  Clamping keeps the invariant should the notes
+  // ever exceed the charge.
+  Time noted = 0;
+  for (const Time amt : np.fiber_acc) noted += amt;
+  np.fiber_acc[static_cast<std::size_t>(Cat::kCompute)] +=
+      std::max<Time>(fiber_charge - noted, 0);
   Time left = fiber_charge;
   for (std::size_t c = 0; c < kCatCount && left > 0; ++c) {
     const Time amt = std::min(np.fiber_acc[c], left);
@@ -284,10 +276,6 @@ void Profiler::commit_dispatch(NodeId node, Time now, Time switch_cost,
     left -= amt;
   }
   np.fiber_acc.fill(0);
-  if (left > 0) {
-    charge_busy(node, t, t + left, Cat::kCompute);
-    t += left;
-  }
   if (pending > 0) {
     charge_busy(node, t, t + pending, Cat::kDisk);
   }

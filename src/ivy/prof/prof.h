@@ -13,8 +13,8 @@
 // The accounting model mirrors the simulator's cost model:
 //   * Busy time.  The scheduler commits a fiber's accumulated charge at
 //     each yield as a [now, busy_until) span; commit_dispatch() splits
-//     it into the categories noted by ChargeScope while the fiber ran
-//     (default kCompute), plus kSchedOverhead for the context switch
+//     off the parts of it noted under another category while it ran
+//     (the rest is kCompute), plus kSchedOverhead for the context switch
 //     and kDisk for protocol charges drained from the svm.
 //   * Wait time.  Instrumentation sites place begin/retag/end marks
 //     keyed by (domain, id); whenever a node's timeline is not covered
@@ -24,9 +24,10 @@
 //
 // Like the oracle, the profiler lives outside the simulated machines:
 // marks cost no virtual time and may cross nodes (a serving node retags
-// the requester's fault wait into its transfer leg).  Everything is
-// null-pointer gated through IVY_PROF (the svm layer through Svm::emit),
-// so a run without --prof-out pays one branch per instrumentation site.
+// the requester's fault wait into its transfer leg).  Every mark comes
+// from a plane's emit point (RemoteOp::emit, Svm::emit, Scheduler::emit)
+// behind one pointer test, so a run without --prof-out pays one branch
+// per transition.
 #pragma once
 
 #include <array>
@@ -89,23 +90,6 @@ enum class Domain : std::uint8_t {
 /// fault stay kReadFaultInvalidate).
 enum class FaultLeg : std::uint8_t { kLocate, kTransfer, kInvalidate };
 
-class Profiler;
-
-/// RAII category for busy charges made while the current fiber runs.
-/// Nested scopes win innermost; the default (no scope) is kCompute.
-/// Null-profiler safe.
-class ChargeScope {
- public:
-  ChargeScope(Profiler* prof, Cat cat);
-  ~ChargeScope();
-  ChargeScope(const ChargeScope&) = delete;
-  ChargeScope& operator=(const ChargeScope&) = delete;
-
- private:
-  Profiler* prof_;
-  Cat prev_ = Cat::kCompute;
-};
-
 class Profiler {
  public:
   /// `slice` > 0 additionally bins every charge into per-node utilization
@@ -117,10 +101,10 @@ class Profiler {
 
   // --- busy side (scheduler cost funnel) ------------------------------
 
-  /// A fiber charge passed through Scheduler::charge_current; remembered
-  /// under the current ChargeScope category until the next dispatch
-  /// commit on that node.
-  void note_fiber_charge(NodeId node, Time t);
+  /// `t` of the running fiber's charge on `node` (Scheduler::
+  /// charge_current) belongs to `cat`; remembered until the next dispatch
+  /// commit on that node, which counts the unnoted rest as compute.
+  void note_fiber_charge(NodeId node, Time t, Cat cat);
 
   /// The scheduler committed a busy span at a yield: [now, now +
   /// switch_cost + fiber_charge + pending).  The fiber charge is split
@@ -157,11 +141,6 @@ class Profiler {
 
   /// A fault request was forwarded another hop on behalf of `node`.
   void note_hop(NodeId node, std::uint64_t page);
-
-  // --- ChargeScope plumbing -------------------------------------------
-
-  [[nodiscard]] Cat scope() const { return scope_; }
-  void set_scope(Cat cat) { scope_ = cat; }
 
   // --- lifecycle ------------------------------------------------------
 
@@ -243,7 +222,7 @@ class Profiler {
   struct NodeProf {
     Time cursor = 0;  ///< everything before this instant is accounted
     std::array<Time, kCatCount> totals{};
-    std::array<Time, kCatCount> fiber_acc{};  ///< scoped charges pending commit
+    std::array<Time, kCatCount> fiber_acc{};  ///< charges pending commit
     std::vector<Mark> marks;                  ///< pending, lazily sorted
     bool marks_sorted = true;
     std::unordered_map<std::uint64_t, Wait> active;
@@ -269,20 +248,8 @@ class Profiler {
 
   std::vector<NodeProf> nodes_;
   Time slice_ = 0;
-  Cat scope_ = Cat::kCompute;
   std::uint64_t next_seq_ = 0;
   bool frozen_ = false;
 };
 
 }  // namespace ivy::prof
-
-/// Cost-attribution entry point for instrumented modules: a single
-/// branch on Stats::prof() (nullptr unless profiling is armed).
-///
-///   IVY_PROF(stats_, end_wait(self_, prof::Domain::kRpc, id, now));
-#define IVY_PROF(stats, call)                                  \
-  do {                                                         \
-    if (::ivy::prof::Profiler* ivy_prof_p = (stats).prof()) {  \
-      ivy_prof_p->call;                                        \
-    }                                                          \
-  } while (0)

@@ -5,8 +5,6 @@
 
 #include "ivy/base/check.h"
 #include "ivy/base/log.h"
-#include "ivy/prof/prof.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::rpc {
 
@@ -19,12 +17,6 @@ constexpr Time kBackoffCap = sec(4);
 /// Bound on the duplicate-reply suppression set (mirrors the done-cache
 /// philosophy: bounded memory, graceful degradation to the orphan path).
 constexpr std::size_t kRepliedCacheCapacity = 4096;
-
-/// Trace-event destination argument: the fan-out sentinels (broadcast,
-/// multicast) all render as kMaxNodes.
-constexpr NodeId event_dst(NodeId dst) {
-  return dst >= kMulticast ? kMaxNodes : dst;
-}
 
 }  // namespace
 
@@ -46,29 +38,10 @@ std::uint64_t RemoteOp::request(NodeId dst, net::MsgKind kind,
                                 FailureCallback on_fail) {
   IVY_CHECK(on_reply != nullptr);
   IVY_CHECK_NE(dst, self_);
-  net::Message msg;
-  msg.src = self_;
-  msg.dst = dst;
-  msg.kind = kind;
-  msg.rpc_id = next_rpc_id_++;
-  msg.origin = self_;
-  msg.payload = std::move(payload);
-  msg.wire_bytes = wire_bytes;
-
-  Outstanding out;
-  out.original = msg;
-  out.on_reply = std::move(on_reply);
-  out.on_fail = std::move(on_fail);
-  out.expected_replies = 1;
-  out.first_sent = sim_.now();
-  out.last_sent = out.first_sent;
-  out.timeout = timeout;
-  const std::uint64_t id = msg.rpc_id;
-  outstanding_.emplace(id, std::move(out));
-  IVY_EVT(stats_, record(self_, trace::EventKind::kRpcRequest, id, dst));
-  transmit(std::move(msg));
-  arm_retransmit_timer();
-  return id;
+  return launch(new_request(dst, kind, std::move(payload), wire_bytes),
+                {.on_reply = std::move(on_reply),
+                 .on_fail = std::move(on_fail),
+                 .timeout = timeout});
 }
 
 std::uint64_t RemoteOp::broadcast(net::MsgKind kind, std::any payload,
@@ -76,54 +49,29 @@ std::uint64_t RemoteOp::broadcast(net::MsgKind kind, std::any payload,
                                   ReplyCallback on_first,
                                   AllRepliesCallback on_all, Time timeout,
                                   FailureCallback on_fail) {
-  net::Message msg;
-  msg.src = self_;
-  msg.dst = kBroadcast;
-  msg.kind = kind;
-  msg.rpc_id = next_rpc_id_++;
-  msg.origin = self_;
-  msg.payload = std::move(payload);
-  msg.wire_bytes = wire_bytes;
-  const std::uint64_t id = msg.rpc_id;
-
+  net::Message msg =
+      new_request(kBroadcast, kind, std::move(payload), wire_bytes);
   switch (scheme) {
-    case BcastReply::kNone:
+    case BcastReply::kNone: {
       IVY_CHECK(on_first == nullptr && on_all == nullptr);
+      const std::uint64_t id = msg.rpc_id;
       transmit(std::move(msg));
       return id;
-    case BcastReply::kAny: {
-      IVY_CHECK(on_first != nullptr && on_all == nullptr);
-      Outstanding out;
-      out.original = msg;
-      out.on_reply = std::move(on_first);
-      out.on_fail = std::move(on_fail);
-      out.expected_replies = 1;
-      out.first_sent = sim_.now();
-      out.last_sent = out.first_sent;
-      out.timeout = timeout;
-      outstanding_.emplace(id, std::move(out));
-      break;
     }
-    case BcastReply::kAll: {
+    case BcastReply::kAny:
+      IVY_CHECK(on_first != nullptr && on_all == nullptr);
+      return launch(std::move(msg), {.on_reply = std::move(on_first),
+                                     .on_fail = std::move(on_fail),
+                                     .timeout = timeout});
+    case BcastReply::kAll:
       IVY_CHECK(on_first == nullptr && on_all != nullptr);
       IVY_CHECK_GT(ring_.nodes(), 1u);
-      Outstanding out;
-      out.original = msg;
-      out.on_all = std::move(on_all);
-      out.on_fail = std::move(on_fail);
-      out.expected_replies = ring_.nodes() - 1;
-      out.first_sent = sim_.now();
-      out.last_sent = out.first_sent;
-      out.timeout = timeout;
-      outstanding_.emplace(id, std::move(out));
-      break;
-    }
+      return launch(std::move(msg), {.on_all = std::move(on_all),
+                                     .on_fail = std::move(on_fail),
+                                     .expected_replies = ring_.nodes() - 1,
+                                     .timeout = timeout});
   }
-  IVY_EVT(stats_,
-          record(self_, trace::EventKind::kRpcRequest, id, kMaxNodes));
-  transmit(std::move(msg));
-  arm_retransmit_timer();
-  return id;
+  IVY_UNREACHABLE("unknown broadcast reply scheme");
 }
 
 std::uint64_t RemoteOp::multicast(NodeSet targets, net::MsgKind kind,
@@ -134,28 +82,31 @@ std::uint64_t RemoteOp::multicast(NodeSet targets, net::MsgKind kind,
   IVY_CHECK(on_all != nullptr);
   IVY_CHECK(!targets.empty());
   IVY_CHECK(!targets.contains(self_));
-  net::Message msg;
-  msg.src = self_;
-  msg.dst = deliver_to_all ? kBroadcast : kMulticast;
+  net::Message msg = new_request(deliver_to_all ? kBroadcast : kMulticast,
+                                 kind, std::move(payload), wire_bytes);
   msg.mcast = targets;
-  msg.kind = kind;
-  msg.rpc_id = next_rpc_id_++;
-  msg.origin = self_;
-  msg.payload = std::move(payload);
-  msg.wire_bytes = wire_bytes;
-  const std::uint64_t id = msg.rpc_id;
+  const auto expected = static_cast<std::uint32_t>(targets.count());
+  return launch(std::move(msg), {.on_all = std::move(on_all),
+                                 .on_fail = std::move(on_fail),
+                                 .expected_replies = expected,
+                                 .timeout = timeout});
+}
 
-  Outstanding out;
+net::Message RemoteOp::new_request(NodeId dst, net::MsgKind kind,
+                                   std::any payload,
+                                   std::uint32_t wire_bytes) {
+  return {.src = self_, .dst = dst, .kind = kind, .rpc_id = next_rpc_id_++,
+          .origin = self_, .payload = std::move(payload),
+          .wire_bytes = wire_bytes};
+}
+
+std::uint64_t RemoteOp::launch(net::Message msg, Outstanding out) {
+  const std::uint64_t id = msg.rpc_id;
   out.original = msg;
-  out.on_all = std::move(on_all);
-  out.on_fail = std::move(on_fail);
-  out.expected_replies = static_cast<std::uint32_t>(targets.count());
   out.first_sent = sim_.now();
   out.last_sent = out.first_sent;
-  out.timeout = timeout;
   outstanding_.emplace(id, std::move(out));
-  IVY_EVT(stats_,
-          record(self_, trace::EventKind::kRpcRequest, id, kMaxNodes));
+  emit({.kind = EventKind::kRequestSent, .rpc_id = id, .peer = msg.dst});
   transmit(std::move(msg));
   arm_retransmit_timer();
   return id;
@@ -181,26 +132,12 @@ void RemoteOp::reply(const PendingReply& pending, std::any payload,
                                   pending.origin, pending.attempt});
   while (done_cache_.size() > done_cache_capacity_) evict_done_front();
 
-  net::Message msg;
-  msg.src = self_;
-  msg.dst = pending.origin;
-  msg.kind = pending.kind;
-  msg.rpc_id = pending.rpc_id;
-  msg.origin = pending.origin;
-  msg.is_reply = true;
-  msg.payload = std::move(payload);
-  msg.wire_bytes = wire_bytes;
-  IVY_EVT(stats_, record(self_, trace::EventKind::kRpcReplySent,
-                         pending.rpc_id, pending.origin));
-  // The server-side software time is manager-duty work; as the lowest
-  // priority wait it only surfaces when the node is otherwise idle (a
-  // busy node's own charges already cover the span).
-  IVY_PROF(stats_, begin_wait(self_, prof::Cat::kManagerService,
-                              prof::Domain::kService, pending.rpc_id,
-                              sim_.now(),
-                              static_cast<std::uint64_t>(pending.kind)));
-  IVY_PROF(stats_, end_wait(self_, prof::Domain::kService, pending.rpc_id,
-                            sim_.now() + sim_.costs().fault_server));
+  net::Message msg{.src = self_, .dst = pending.origin, .kind = pending.kind,
+                   .rpc_id = pending.rpc_id, .origin = pending.origin,
+                   .is_reply = true, .payload = std::move(payload),
+                   .wire_bytes = wire_bytes};
+  emit({.kind = EventKind::kReplySent, .rpc_id = pending.rpc_id,
+        .peer = pending.origin, .msg = pending.kind});
   // Model the server-side software time before the reply hits the wire.
   sim_.schedule_after(sim_.costs().fault_server,
                       [this, m = std::move(msg),
@@ -219,7 +156,7 @@ void RemoteOp::evict_done_front() {
       old.key ^ (static_cast<std::uint64_t>(old.origin) << 48);
   std::uint64_t& wm = evicted_watermark_[old.origin];
   wm = std::max(wm, rpc);
-  stats_.bump(self_, Counter::kDoneCacheEvictions);
+  emit({.kind = EventKind::kDoneEvicted});
   done_cache_.pop_front();
 }
 
@@ -234,9 +171,7 @@ void RemoteOp::ignore(const net::Message& req) {
 
 void RemoteOp::cancel(std::uint64_t rpc_id) {
   if (outstanding_.erase(rpc_id) > 0) {
-    IVY_EVT(stats_, record(self_, trace::EventKind::kRpcCancel, rpc_id, 0));
-    IVY_PROF(stats_,
-             end_wait(self_, prof::Domain::kRpc, rpc_id, sim_.now()));
+    emit({.kind = EventKind::kCancelled, .rpc_id = rpc_id});
   }
 }
 
@@ -245,7 +180,7 @@ void RemoteOp::forward(net::Message&& req, NodeId next) {
   // Forwarders do not answer; clear the duplicate marker so a client
   // retransmission is forwarded again (forwarding must be idempotent).
   in_progress_.erase(dedup_key(req.origin, req.rpc_id));
-  stats_.bump(self_, Counter::kForwards);
+  emit({.kind = EventKind::kForwarded});
   req.src = self_;
   req.dst = next;
   transmit(std::move(req));
@@ -283,8 +218,8 @@ void RemoteOp::handle_reply(net::Message&& msg) {
   auto it = outstanding_.find(msg.rpc_id);
   if (it == outstanding_.end()) {
     note_replied(rkey);
-    IVY_EVT(stats_, record(self_, trace::EventKind::kRpcOrphan, msg.rpc_id,
-                           msg.src));
+    emit({.kind = EventKind::kOrphanReply, .rpc_id = msg.rpc_id,
+          .peer = msg.src});
     // Late duplicate.  Give resource-bearing replies a chance to be
     // absorbed; drop the rest.
     if (auto oh = orphan_handlers_.find(msg.kind);
@@ -294,36 +229,29 @@ void RemoteOp::handle_reply(net::Message&& msg) {
     return;
   }
   Outstanding& out = it->second;
-  const Time first_sent = out.first_sent;
-  const auto kind_arg =
-      static_cast<std::uint64_t>(out.original.kind);
-  if (out.on_all) {
-    // kAll broadcast: one reply per peer; duplicates from the same peer
-    // (reply resends) must not double-count.
-    const bool seen = std::any_of(
-        out.replies.begin(), out.replies.end(),
-        [&](const net::Message& m) { return m.src == msg.src; });
-    if (seen) return;
-    note_replied(rkey);
-    out.replies.push_back(std::move(msg));
-    if (out.replies.size() < out.expected_replies) return;
-    auto cb = std::move(out.on_all);
-    auto replies = std::move(out.replies);
-    outstanding_.erase(it);
-    IVY_PROF(stats_,
-             end_wait(self_, prof::Domain::kRpc, msg.rpc_id, sim_.now()));
-    record_round_trip(kind_arg, first_sent, kBroadcast);
-    cb(std::move(replies));
+  // kAll broadcast: one reply per peer; duplicates from the same peer
+  // (reply resends) must not double-count.
+  if (out.on_all &&
+      std::any_of(out.replies.begin(), out.replies.end(),
+                  [&](const net::Message& m) { return m.src == msg.src; })) {
     return;
   }
   note_replied(rkey);
-  const NodeId server = msg.src;
-  auto cb = std::move(out.on_reply);
+  const Event done{.kind = EventKind::kReplyReceived, .rpc_id = msg.rpc_id,
+                   .peer = out.on_all ? kBroadcast : msg.src,
+                   .msg = out.original.kind, .start = out.first_sent};
+  if (out.on_all) {
+    out.replies.push_back(std::move(msg));
+    if (out.replies.size() < out.expected_replies) return;
+  }
+  Outstanding finished = std::move(out);
   outstanding_.erase(it);
-  IVY_PROF(stats_,
-           end_wait(self_, prof::Domain::kRpc, msg.rpc_id, sim_.now()));
-  record_round_trip(kind_arg, first_sent, server);
-  cb(std::move(msg));
+  emit(done);
+  if (finished.on_all) {
+    finished.on_all(std::move(finished.replies));
+  } else {
+    finished.on_reply(std::move(msg));
+  }
 }
 
 void RemoteOp::note_replied(std::uint64_t key) {
@@ -335,15 +263,6 @@ void RemoteOp::note_replied(std::uint64_t key) {
   }
 }
 
-void RemoteOp::record_round_trip(std::uint64_t kind_arg, Time first_sent,
-                                 NodeId server) {
-  const Time rtt = sim_.now() - first_sent;
-  stats_.record_latency(self_, Hist::kRemoteOpRoundTrip, rtt);
-  IVY_EVT(stats_,
-          record_span(self_, trace::EventKind::kRemoteOp, first_sent, rtt,
-                      kind_arg, server == kBroadcast ? kMaxNodes : server));
-}
-
 void RemoteOp::handle_request(net::Message&& msg) {
   const std::uint64_t key = dedup_key(msg.origin, msg.rpc_id);
   // Completed before?  Only a retransmission — a higher attempt than the
@@ -353,19 +272,11 @@ void RemoteOp::handle_request(net::Message&& msg) {
     if (done.key == key) {
       if (msg.attempt <= done.attempt) return;
       done.attempt = msg.attempt;
-      stats_.bump(self_, Counter::kReplyResends);
-      net::Message rep;
-      rep.src = self_;
-      rep.dst = done.origin;
-      rep.kind = done.kind;
-      rep.rpc_id = msg.rpc_id;
-      rep.origin = done.origin;
-      rep.is_reply = true;
-      rep.payload = done.payload;
-      rep.wire_bytes = done.wire_bytes;
-      IVY_EVT(stats_, record(self_, trace::EventKind::kRpcReplySent,
-                             rep.rpc_id, rep.origin));
-      transmit(std::move(rep));
+      emit({.kind = EventKind::kReplyResent, .rpc_id = msg.rpc_id,
+            .peer = done.origin});
+      transmit({.src = self_, .dst = done.origin, .kind = done.kind,
+                .rpc_id = msg.rpc_id, .origin = done.origin, .is_reply = true,
+                .payload = done.payload, .wire_bytes = done.wire_bytes});
       return;
     }
   }
@@ -377,7 +288,7 @@ void RemoteOp::handle_request(net::Message&& msg) {
   // enough to be a duplicate whose cached reply was evicted.
   if (auto wm = evicted_watermark_.find(msg.origin);
       wm != evicted_watermark_.end() && msg.rpc_id <= wm->second) {
-    stats_.bump(self_, Counter::kDupReexecutions);
+    emit({.kind = EventKind::kDupReexecuted});
   }
 
   auto it = handlers_.find(msg.kind);
@@ -414,22 +325,9 @@ void RemoteOp::retransmit_scan() {
     IVY_DEBUG() << "node " << self_ << " retransmits rpc " << id << " ("
                 << net::to_string(out.original.kind) << ") attempt "
                 << out.retransmits;
-    stats_.bump(self_, Counter::kRetransmissions);
-    IVY_EVT(stats_,
-            record(self_, trace::EventKind::kRetransmit,
-                   static_cast<std::uint64_t>(out.original.kind),
-                   event_dst(out.original.dst)));
-    if (out.retransmits >= 2) {
-      stats_.bump(self_, Counter::kRpcBackoffs);
-      IVY_EVT(stats_, record(self_, trace::EventKind::kRpcBackoff, id,
-                             out.retransmits));
-      // From the second retransmit on, the doubling wait dominates the
-      // request latency; charge it as backoff rather than the fault leg.
-      IVY_PROF(stats_,
-               begin_wait(self_, prof::Cat::kBackoff, prof::Domain::kRpc, id,
-                          now,
-                          static_cast<std::uint64_t>(out.original.kind)));
-    }
+    emit({.kind = EventKind::kRetransmitted, .rpc_id = id,
+          .peer = out.original.dst, .msg = out.original.kind,
+          .attempt = out.retransmits});
     out.backoff_wait = next_backoff(wait);
     out.last_sent = now;
     out.original.attempt = out.retransmits;
@@ -457,10 +355,7 @@ Time RemoteOp::next_backoff(Time prev) {
 }
 
 void RemoteOp::fail_request(std::uint64_t id, Outstanding&& out) {
-  stats_.bump(self_, Counter::kRpcFailures);
-  IVY_PROF(stats_, end_wait(self_, prof::Domain::kRpc, id, sim_.now()));
-  IVY_EVT(stats_, record(self_, trace::EventKind::kRpcFailed, id,
-                         event_dst(out.original.dst)));
+  emit({.kind = EventKind::kFailed, .rpc_id = id, .peer = out.original.dst});
   RequestFailure failure;
   failure.rpc_id = id;
   failure.kind = out.original.kind;

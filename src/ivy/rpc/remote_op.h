@@ -73,6 +73,35 @@ struct RequestFailure {
 
 enum class BcastReply : std::uint8_t { kAny, kAll, kNone };
 
+/// One record per remote-operation transition.  Each is reported once, by
+/// RemoteOp::emit (event.cc), the only rpc code that feeds the counters,
+/// histograms, tracer and profiler.  DESIGN.md §2 maps kinds to consumers.
+enum class EventKind : std::uint8_t {
+  // client side (peer = the request's destination)
+  kRequestSent,    ///< the first send of a request
+  kReplyReceived,  ///< the request completed; start = first send, peer =
+                   ///  the server (kBroadcast: the last reply of a round)
+  kRetransmitted,  ///< re-sent unanswered; attempt = resends so far
+  kFailed,         ///< given up at the retransmission cap
+  kCancelled,      ///< abandoned while outstanding
+  kOrphanReply,    ///< a reply from peer matched no outstanding request
+  // server side (peer = the requester)
+  kReplySent,      ///< answered; the reply leaves after fault_server
+  kReplyResent,    ///< a cached reply resent to a retransmission
+  kForwarded,      ///< passed on without a reply
+  kDoneEvicted,    ///< a cached reply left the done-cache
+  kDupReexecuted,  ///< a request at or below the eviction watermark runs
+};
+
+struct Event {
+  EventKind kind = EventKind::kRequestSent;
+  std::uint64_t rpc_id = 0;
+  NodeId peer = kNoNode;
+  net::MsgKind msg = net::MsgKind::kInvalid;
+  Time start = 0;
+  std::uint32_t attempt = 0;
+};
+
 class RemoteOp {
  public:
   /// on_reply receives the reply message (payload set by the server).
@@ -207,11 +236,11 @@ class RemoteOp {
 
  private:
   struct Outstanding {
-    net::Message original;  ///< kept for retransmission
-    ReplyCallback on_reply;
-    AllRepliesCallback on_all;
-    FailureCallback on_fail;
-    std::vector<net::Message> replies;  ///< kAll accumulation
+    net::Message original{};  ///< kept for retransmission
+    ReplyCallback on_reply{};
+    AllRepliesCallback on_all{};
+    FailureCallback on_fail{};
+    std::vector<net::Message> replies{};  ///< kAll accumulation
     std::uint32_t expected_replies = 1;
     std::uint32_t retransmits = 0;  ///< resends so far (0 = first send only)
     Time first_sent = 0;  ///< for round-trip latency accounting
@@ -229,9 +258,14 @@ class RemoteOp {
     std::uint32_t attempt = 0;  ///< highest send attempt answered
   };
 
+  /// Reports a transition to every consumer (event.cc).
+  void emit(const Event& e);
+  /// A fresh request from this node, under a new rpc id.
+  net::Message new_request(NodeId dst, net::MsgKind kind, std::any payload,
+                           std::uint32_t wire_bytes);
+  /// Registers `out` as the request's client state and sends it.
+  std::uint64_t launch(net::Message msg, Outstanding out);
   void transmit(net::Message msg);
-  void record_round_trip(std::uint64_t kind_arg, Time first_sent,
-                         NodeId server);
   void handle_reply(net::Message&& msg);
   void handle_request(net::Message&& msg);
   void arm_retransmit_timer();

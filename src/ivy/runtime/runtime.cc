@@ -54,8 +54,8 @@ Runtime::Runtime(Config cfg)
   if (cfg_.trace_enabled) enable_tracing(cfg_.trace_capacity);
   if (cfg_.prof_enabled) {
     prof_ = std::make_unique<prof::Profiler>(cfg_.nodes, cfg_.prof_slice);
-    // Like the tracer: hanging the profiler off Stats gives every
-    // IVY_PROF site a single-branch disabled fast path.
+    // Like the tracer: hanging the profiler off Stats gives every emit
+    // point a single-branch disabled fast path.
     stats_.set_prof(prof_.get());
   }
   if (cfg_.oracle_mode != oracle::Mode::kOff) {
@@ -188,8 +188,8 @@ void Runtime::final_audit() {
 void Runtime::enable_tracing(std::size_t capacity) {
   tracer_.enable(capacity);
   tracer_.set_clock([this] { return sim_.now(); });
-  // Hanging the tracer off Stats gives every module a single-branch
-  // disabled fast path (IVY_EVT tests one pointer).
+  // Hanging the tracer off Stats gives every emit point a single-branch
+  // disabled fast path (one pointer test).
   stats_.set_tracer(&tracer_);
 }
 

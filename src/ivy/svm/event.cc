@@ -76,10 +76,12 @@ void Svm::emit(Event e) {
       }
       break;
     case EventKind::kPagedOut:
+      stats_.bump(self_, Counter::kEvictions);
       if (tr) tr->record(self_, TK::kDiskWrite, e.page);
       if (tr) tr->record(self_, TK::kEviction, e.page, 1);
       break;
     case EventKind::kCopyEvicted:
+      stats_.bump(self_, Counter::kEvictions);
       if (tr) tr->record(self_, TK::kEviction, e.page, 0);
       break;
     case EventKind::kForward:

@@ -293,8 +293,6 @@ void Manager::on_grant(net::Message&& reply) {
 
 void Manager::note_write_grant(PageId, NodeId) {}
 
-void Manager::on_table_grown(PageId) {}
-
 void Manager::hand_off(net::Message&& msg, PageId page, NodeId new_owner) {
   forward(std::move(msg), page, new_owner);
 }

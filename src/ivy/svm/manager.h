@@ -40,11 +40,6 @@ class Manager {
   /// forwarded, possibly replayed from the deferred queue).
   void on_fault_request(net::Message&& msg);
 
-  /// The shared address space grew (Svm::grow_table): managers with
-  /// per-page bookkeeping extend it.  New pages start with the
-  /// configured initial owner, matching the page-table init.
-  virtual void on_table_grown(PageId new_num_pages);
-
  protected:
   explicit Manager(Svm& svm) : svm_(svm) {}
 
@@ -128,7 +123,6 @@ class OwnerMapManager final : public Manager {
   /// `distributed`: manager_of(p) = H(p) = p mod N (fixed distributed
   /// manager); otherwise every page is managed by options().manager_node.
   OwnerMapManager(Svm& svm, bool distributed);
-  void on_table_grown(PageId new_num_pages) override;
 
  protected:
   void route_initial(PageId page, net::MsgKind kind) override;
@@ -147,9 +141,6 @@ class OwnerMapManager final : public Manager {
   [[nodiscard]] NodeId manager_of(PageId page) const {
     return distributed_ ? static_cast<NodeId>(page % svm_.nodes())
                         : svm_.options().manager_node;
-  }
-  [[nodiscard]] bool manages_pages() const {
-    return distributed_ || svm_.self() == svm_.options().manager_node;
   }
   /// Manager bookkeeping: picks the forward target (kNoNode when the map
   /// has no answer) and updates the owner map for write faults.

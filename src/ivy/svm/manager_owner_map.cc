@@ -19,8 +19,9 @@ namespace ivy::svm {
 
 OwnerMapManager::OwnerMapManager(Svm& svm, bool distributed)
     : Manager(svm), distributed_(distributed) {
-  // Full-size map; only the entries with manager_of(p) == self are used.
-  if (manages_pages()) {
+  // Full-size map on a managing node; only the entries with
+  // manager_of(p) == self are used.
+  if (distributed_ || svm.self() == svm.options().manager_node) {
     map_.assign(svm.geometry().num_pages,
                 Ownership{svm.options().initial_owner});
   }
@@ -102,12 +103,6 @@ void OwnerMapManager::hand_off(net::Message&& msg, PageId page,
 
 void OwnerMapManager::note_write_grant(PageId page, NodeId new_owner) {
   if (manager_of(page) == svm_.self()) record_owner(page, new_owner);
-}
-
-void OwnerMapManager::on_table_grown(PageId new_num_pages) {
-  if (manages_pages() && map_.size() < new_num_pages) {
-    map_.resize(new_num_pages, Ownership{svm_.options().initial_owner});
-  }
 }
 
 }  // namespace ivy::svm

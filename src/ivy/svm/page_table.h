@@ -137,7 +137,9 @@ struct PageEntry {
 /// chunk; reads of an untouched page see the initial entry.
 class PageTable {
  public:
-  explicit PageTable(const Geometry& geo, NodeId initial_owner, NodeId self) {
+  explicit PageTable(const Geometry& geo, NodeId initial_owner, NodeId self)
+      : num_pages_(geo.num_pages),
+        chunks_((geo.num_pages + kChunkPages - 1) / kChunkPages) {
     initial_.prob_owner = initial_owner;
     if (self == initial_owner) {
       // "the probOwner field of every entry on all processors is set to
@@ -145,7 +147,6 @@ class PageTable {
       initial_.owned = true;
       initial_.access = Access::kWrite;
     }
-    grow(geo.num_pages);
   }
 
   [[nodiscard]] PageEntry& at(PageId page) {
@@ -165,21 +166,12 @@ class PageTable {
 
   [[nodiscard]] PageId num_pages() const { return num_pages_; }
 
-  /// Extends the table to `new_num_pages` (no-op if already that large);
-  /// the new pages start as the initial entry.  Chunks never move, so
-  /// PageEntry references survive growth.
-  void grow(PageId new_num_pages) {
-    if (new_num_pages <= num_pages_) return;
-    num_pages_ = new_num_pages;
-    chunks_.resize((new_num_pages + kChunkPages - 1) / kChunkPages);
-  }
-
  private:
   static constexpr PageId kChunkPages = 256;
   using Chunk = std::array<PageEntry, kChunkPages>;
 
   PageEntry initial_;  ///< what every untouched page reads as
-  PageId num_pages_ = 0;
+  PageId num_pages_;
   std::vector<std::unique_ptr<Chunk>> chunks_;
 };
 

@@ -29,7 +29,7 @@ Svm::Svm(sim::Simulator& sim, rpc::RemoteOp& rpc, Stats& stats, NodeId self,
       options_(options),
       sink_(options.sink),
       table_(options.geo, options.initial_owner, self),
-      pool_(stats, self, options.geo.page_size, options.frames_per_node,
+      pool_(self, options.geo.page_size, options.frames_per_node,
             options.replacement, options.seed),
       disk_(stats, sim.costs(), self) {
   IVY_CHECK_LT(self, num_nodes);
@@ -688,13 +688,6 @@ void Svm::adopt_page(const PageTransfer& transfer) {
         .body = transfer.body != nullptr ? Body::kShipped
                 : transfer.body_elided   ? Body::kElided
                                          : Body::kNone});
-}
-
-void Svm::grow_table(PageId new_num_pages) {
-  if (new_num_pages <= table_.num_pages()) return;
-  table_.grow(new_num_pages);
-  options_.geo.num_pages = new_num_pages;
-  manager_->on_table_grown(new_num_pages);
 }
 
 mem::FramePool::EvictAction Svm::on_evict(PageId page,

@@ -115,12 +115,6 @@ class Svm {
   void adopt_page(const PageTransfer& transfer);
   [[nodiscard]] bool owns(PageId page) const { return table_.at(page).owned; }
 
-  /// Extends the shared address space to `new_num_pages` pages at
-  /// runtime.  Every node must perform the same growth (the space is
-  /// shared); new pages start owned by the configured initial owner.
-  /// Safe mid-protocol: PageEntry references survive growth.
-  void grow_table(PageId new_num_pages);
-
   // --- plumbing ---------------------------------------------------------
 
   [[nodiscard]] const Geometry& geometry() const { return options_.geo; }

@@ -3,8 +3,6 @@
 #include <vector>
 
 #include "ivy/proc/svm_io.h"
-#include "ivy/prof/prof.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::sync {
 namespace {
@@ -42,14 +40,10 @@ std::int64_t Eventcount::read() {
 void Eventcount::advance() {
   proc::Scheduler* sched = proc::Scheduler::current_scheduler();
   acquire();
-  sched->stats().bump(sched->node(), Counter::kEcAdvances);
-
   const auto value = proc::svm_read<std::int64_t>(base_ + kValueOff) + 1;
   proc::svm_write<std::int64_t>(base_ + kValueOff, value);
-  IVY_EVT(sched->stats(),
-          record(sched->node(), trace::EventKind::kEcAdvance,
-                 sched->svm().geometry().page_of(base_),
-                 static_cast<std::uint64_t>(value)));
+  sched->emit({.kind = proc::EventKind::kEcAdvanced,
+               .id = sched->svm().geometry().page_of(base_), .value = value});
 
   // Wake every waiter whose target is reached; compact the array.
   auto nwaiters = proc::svm_read<std::uint32_t>(base_ + kNWaitersOff);
@@ -87,9 +81,7 @@ void Eventcount::wait(std::int64_t value) {
 
   const PageId page = sched->svm().geometry().page_of(base_);
   const Time wait_start = sched->simulator().now();
-  IVY_PROF(sched->stats(),
-           begin_wait(sched->node(), prof::Cat::kSyncWait, prof::Domain::kSync,
-                      page, wait_start));
+  sched->emit({.kind = proc::EventKind::kEcBlocked, .id = page});
   const auto nwaiters = proc::svm_read<std::uint32_t>(base_ + kNWaitersOff);
   IVY_CHECK_MSG(nwaiters < capacity(sched->svm().geometry().page_size, pages_),
                 "eventcount waiter overflow (page too small)");
@@ -103,7 +95,6 @@ void Eventcount::wait(std::int64_t value) {
   proc::svm_write<WaitRecord>(
       base_ + kRecordsOff + nwaiters * sizeof(WaitRecord), rec);
   proc::svm_write<std::uint32_t>(base_ + kNWaitersOff, nwaiters + 1);
-  sched->stats().bump(sched->node(), Counter::kEcWaits);
 
   // No blocking point separates the record write from this yield, so
   // an advancer can only observe the record once we are suspended.
@@ -112,13 +103,8 @@ void Eventcount::wait(std::int64_t value) {
   // once the value reached the target, which it never leaves (the value
   // is monotone): no re-check, so a woken waiter does not fault the page
   // back in.
-  const Time dur = sched->simulator().now() - wait_start;
-  sched->stats().record_latency(sched->node(), Hist::kEcWait, dur);
-  IVY_EVT(sched->stats(),
-          record_span(sched->node(), trace::EventKind::kEcWait, wait_start,
-                      dur, page, static_cast<std::uint64_t>(value)));
-  IVY_PROF(sched->stats(), end_wait(sched->node(), prof::Domain::kSync, page,
-                                    sched->simulator().now()));
+  sched->emit({.kind = proc::EventKind::kEcWoken, .id = page, .value = value,
+               .start = wait_start});
 }
 
 }  // namespace ivy::sync

@@ -1,8 +1,6 @@
 #include "ivy/sync/svm_lock.h"
 
 #include "ivy/proc/svm_io.h"
-#include "ivy/prof/prof.h"
-#include "ivy/trace/trace.h"
 
 namespace ivy::sync {
 namespace {
@@ -17,27 +15,27 @@ void SvmLock::acquire_page() {
   proc::Scheduler* sched = proc::Scheduler::current_scheduler();
   IVY_CHECK_MSG(sched != nullptr, "lock op outside a process");
   proc::ensure_access(base_, kHeaderBytes, svm::Access::kWrite);
-  // Scoped after ensure_access: the fault above may yield, and a scope
-  // across a yield would leak into whatever fiber runs meanwhile.
-  prof::ChargeScope spin(sched->stats().prof(), prof::Cat::kLockSpin);
-  proc::Scheduler::charge_current(sched->simulator().costs().test_and_set);
+  const Time tas = sched->simulator().costs().test_and_set;
+  proc::Scheduler::charge_current(tas);
+  sched->emit({.kind = proc::EventKind::kSpinCharged, .span = tas});
 }
 
 bool SvmLock::try_lock() {
   proc::Scheduler* sched = proc::Scheduler::current_scheduler();
   acquire_page();
   if (proc::svm_read<std::uint64_t>(base_ + kWordOff) != 0) {
-    sched->stats().bump(sched->node(), Counter::kLockSpins);
+    sched->emit({.kind = proc::EventKind::kLockSpun});
     return false;
   }
   proc::svm_write<std::uint64_t>(base_ + kWordOff, 1);
-  sched->stats().bump(sched->node(), Counter::kLockAcquisitions);
+  sched->emit({.kind = proc::EventKind::kLockAcquired});
   return true;
 }
 
 void SvmLock::lock() {
   proc::Scheduler* sched = proc::Scheduler::current_scheduler();
   const std::size_t cap = capacity(sched->svm().geometry().page_size);
+  const PageId page = sched->svm().geometry().page_of(base_);
   Time wait_start = 0;
   bool contended = false;
   for (;;) {
@@ -45,26 +43,15 @@ void SvmLock::lock() {
       if (contended) {
         // Contended path only: uncontended acquisitions would flood the
         // histogram with zeros and hide the tail that matters.
-        const Time dur = sched->simulator().now() - wait_start;
-        sched->stats().record_latency(sched->node(), Hist::kLockWait, dur);
-        IVY_EVT(sched->stats(),
-                record_span(sched->node(), trace::EventKind::kLockWait,
-                            wait_start, dur,
-                            sched->svm().geometry().page_of(base_)));
-        IVY_PROF(sched->stats(),
-                 end_wait(sched->node(), prof::Domain::kLock,
-                          sched->svm().geometry().page_of(base_),
-                          sched->simulator().now()));
+        sched->emit({.kind = proc::EventKind::kLockWaited, .id = page,
+                     .start = wait_start});
       }
       return;
     }
     if (!contended) {
       contended = true;
       wait_start = sched->simulator().now();
-      IVY_PROF(sched->stats(),
-               begin_wait(sched->node(), prof::Cat::kLockWait,
-                          prof::Domain::kLock,
-                          sched->svm().geometry().page_of(base_), wait_start));
+      sched->emit({.kind = proc::EventKind::kLockBlocked, .id = page});
     }
     // Enqueue and sleep until an unlock wakes us; then contend again.
     const auto nwaiters = proc::svm_read<std::uint32_t>(base_ + kNWaitersOff);

@@ -686,13 +686,6 @@ std::vector<CrossCheckRow> cross_check(const LoadedTrace& trace,
       "broadcast rounds count once regardless of copies");
   add("forwards", count(EventKind::kForward), no_migrations,
       "process-message forwards share the counter");
-  add("retransmissions", count(EventKind::kRetransmit), true, "");
-  add("evictions", count(EventKind::kEviction), true, "");
-  add("migrations", count(EventKind::kMigrateOut), true, "");
-  add("faults_injected", count(EventKind::kFaultInjected), true, "");
-  add("checksum_drops", count(EventKind::kMsgCorrupted), true, "");
-  add("rpc_backoffs", count(EventKind::kRpcBackoff), true, "");
-  add("rpc_failures", count(EventKind::kRpcFailed), true, "");
   return rows;
 }
 

@@ -183,9 +183,13 @@ struct CrossCheckRow {
   std::string note;
 };
 
-/// Recomputes counters from the trace and compares against the metrics
-/// export.  Rows whose trace-side derivation is only exact under certain
-/// run conditions (no paging, no migrations, no broadcasts) are checked
+/// Recomputes from the trace the counters that count a different
+/// transition than the trace records (fault starts against fault spans,
+/// invalidated copies against rounds, forwarded messages against routed
+/// faults) and compares them against the metrics export.  A counter that
+/// its emit point reports with its trace record agrees by construction
+/// and has no row.  These derivations are only exact under certain run
+/// conditions (no paging, no migrations, no broadcasts); rows are checked
 /// conditionally and say so in `note`.
 [[nodiscard]] std::vector<CrossCheckRow> cross_check(
     const LoadedTrace& trace, const MetricsSummary& metrics);

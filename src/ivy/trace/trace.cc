@@ -1,42 +1,66 @@
 #include "ivy/trace/trace.h"
 
+#include <iterator>
+
 namespace ivy::trace {
 
+namespace {
+
+/// What the exporters know of each kind, index-aligned with EventKind:
+/// its name, its lane, and its argument names ("" = omit).
+struct KindInfo {
+  const char* name;
+  Category cat;
+  const char* arg0;
+  const char* arg1;
+};
+
+using C = Category;
+constexpr KindInfo kKinds[] = {
+    {"read_fault", C::kFault, "page", "hops"},
+    {"write_fault", C::kFault, "page", "hops"},
+    {"disk_fault", C::kFault, "page", ""},
+    {"invalidate_round", C::kCoherence, "page", "copies"},
+    {"invalidated", C::kCoherence, "page", "new_owner"},
+    {"ownership_gained", C::kCoherence, "page", "from"},
+    {"ownership_transfer", C::kCoherence, "page", "to"},
+    {"page_sent", C::kCoherence, "page", "to"},
+    {"forward", C::kCoherence, "page", "origin"},
+    {"msg_send", C::kNet, "msg_kind", "dst"},
+    {"retransmit", C::kNet, "msg_kind", "dst"},
+    {"remote_op", C::kNet, "msg_kind", "dst"},
+    {"fault_injected", C::kNet, "msg_kind", "fault_type"},
+    {"msg_corrupted", C::kNet, "msg_kind", "src"},
+    {"rpc_backoff", C::kNet, "rpc_id", "attempt"},
+    {"rpc_failed", C::kNet, "rpc_id", "dst"},
+    {"rpc_request", C::kNet, "rpc_id", "dst"},
+    {"rpc_reply_sent", C::kNet, "rpc_id", "requester"},
+    {"rpc_orphan", C::kNet, "rpc_id", "server"},
+    {"rpc_cancel", C::kNet, "rpc_id", ""},
+    {"disk_read", C::kDisk, "page", ""},
+    {"disk_write", C::kDisk, "page", ""},
+    {"eviction", C::kDisk, "page", ""},
+    {"proc_spawn", C::kSched, "proc", ""},
+    {"proc_finish", C::kSched, "proc", ""},
+    {"migrate_out", C::kSched, "proc", "to"},
+    {"migrate_in", C::kSched, "proc", "from"},
+    {"lock_wait", C::kSync, "page", ""},
+    {"ec_wait", C::kSync, "page", ""},
+    {"ec_advance", C::kSync, "page", "value"},
+};
+static_assert(std::size(kKinds) == kEventKindCount);
+
+/// The row of `kind`, or nullptr for the sentinel.
+const KindInfo* info(EventKind kind) {
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kKinds) ? &kKinds[i] : nullptr;
+}
+
+}  // namespace
+
 const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kReadFault: return "read_fault";
-    case EventKind::kWriteFault: return "write_fault";
-    case EventKind::kDiskFault: return "disk_fault";
-    case EventKind::kInvalidateSent: return "invalidate_round";
-    case EventKind::kInvalidateRecv: return "invalidated";
-    case EventKind::kOwnershipGained: return "ownership_gained";
-    case EventKind::kOwnershipLost: return "ownership_transfer";
-    case EventKind::kPageSent: return "page_sent";
-    case EventKind::kForward: return "forward";
-    case EventKind::kMsgSend: return "msg_send";
-    case EventKind::kRetransmit: return "retransmit";
-    case EventKind::kRemoteOp: return "remote_op";
-    case EventKind::kFaultInjected: return "fault_injected";
-    case EventKind::kMsgCorrupted: return "msg_corrupted";
-    case EventKind::kRpcBackoff: return "rpc_backoff";
-    case EventKind::kRpcFailed: return "rpc_failed";
-    case EventKind::kRpcRequest: return "rpc_request";
-    case EventKind::kRpcReplySent: return "rpc_reply_sent";
-    case EventKind::kRpcOrphan: return "rpc_orphan";
-    case EventKind::kRpcCancel: return "rpc_cancel";
-    case EventKind::kDiskRead: return "disk_read";
-    case EventKind::kDiskWrite: return "disk_write";
-    case EventKind::kEviction: return "eviction";
-    case EventKind::kProcSpawn: return "proc_spawn";
-    case EventKind::kProcFinish: return "proc_finish";
-    case EventKind::kMigrateOut: return "migrate_out";
-    case EventKind::kMigrateIn: return "migrate_in";
-    case EventKind::kLockWait: return "lock_wait";
-    case EventKind::kEcWait: return "ec_wait";
-    case EventKind::kEcAdvance: return "ec_advance";
-    case EventKind::kCount: break;
-  }
-  return "?";
+  const KindInfo* k = info(kind);
+  return k != nullptr ? k->name : "?";
 }
 
 const char* to_string(Category cat) {
@@ -53,105 +77,18 @@ const char* to_string(Category cat) {
 }
 
 Category category_of(EventKind kind) {
-  switch (kind) {
-    case EventKind::kReadFault:
-    case EventKind::kWriteFault:
-    case EventKind::kDiskFault:
-      return Category::kFault;
-    case EventKind::kInvalidateSent:
-    case EventKind::kInvalidateRecv:
-    case EventKind::kOwnershipGained:
-    case EventKind::kOwnershipLost:
-    case EventKind::kPageSent:
-    case EventKind::kForward:
-      return Category::kCoherence;
-    case EventKind::kMsgSend:
-    case EventKind::kRetransmit:
-    case EventKind::kRemoteOp:
-    case EventKind::kFaultInjected:
-    case EventKind::kMsgCorrupted:
-    case EventKind::kRpcBackoff:
-    case EventKind::kRpcFailed:
-    case EventKind::kRpcRequest:
-    case EventKind::kRpcReplySent:
-    case EventKind::kRpcOrphan:
-    case EventKind::kRpcCancel:
-      return Category::kNet;
-    case EventKind::kDiskRead:
-    case EventKind::kDiskWrite:
-    case EventKind::kEviction:
-      return Category::kDisk;
-    case EventKind::kProcSpawn:
-    case EventKind::kProcFinish:
-    case EventKind::kMigrateOut:
-    case EventKind::kMigrateIn:
-      return Category::kSched;
-    case EventKind::kLockWait:
-    case EventKind::kEcWait:
-    case EventKind::kEcAdvance:
-      return Category::kSync;
-    case EventKind::kCount: break;
-  }
-  return Category::kCount;
+  const KindInfo* k = info(kind);
+  return k != nullptr ? k->cat : Category::kCount;
 }
 
 const char* arg0_name(EventKind kind) {
-  switch (category_of(kind)) {
-    case Category::kFault:
-    case Category::kCoherence:
-    case Category::kDisk:
-    case Category::kSync:
-      return "page";
-    case Category::kSched:
-      return "proc";
-    case Category::kNet:
-      switch (kind) {
-        case EventKind::kRemoteOp:
-        case EventKind::kMsgSend:
-        case EventKind::kRetransmit:
-        case EventKind::kFaultInjected:
-        case EventKind::kMsgCorrupted:
-          return "msg_kind";
-        case EventKind::kRpcRequest:
-        case EventKind::kRpcReplySent:
-        case EventKind::kRpcOrphan:
-        case EventKind::kRpcCancel:
-        case EventKind::kRpcBackoff:
-        case EventKind::kRpcFailed:
-          return "rpc_id";
-        default:
-          return "arg0";
-      }
-    case Category::kCount: break;
-  }
-  return "arg0";
+  const KindInfo* k = info(kind);
+  return k != nullptr ? k->arg0 : "arg0";
 }
 
 const char* arg1_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kInvalidateSent: return "copies";
-    case EventKind::kInvalidateRecv: return "new_owner";
-    case EventKind::kOwnershipGained: return "from";
-    case EventKind::kOwnershipLost: return "to";
-    case EventKind::kPageSent: return "to";
-    case EventKind::kForward: return "origin";
-    case EventKind::kMsgSend: return "dst";
-    case EventKind::kRetransmit: return "dst";
-    case EventKind::kRemoteOp: return "dst";
-    case EventKind::kRpcRequest: return "dst";
-    case EventKind::kRpcReplySent: return "requester";
-    case EventKind::kRpcOrphan: return "server";
-    case EventKind::kFaultInjected: return "fault_type";
-    case EventKind::kMsgCorrupted: return "src";
-    case EventKind::kRpcBackoff: return "attempt";
-    case EventKind::kRpcFailed: return "dst";
-    case EventKind::kMigrateOut: return "to";
-    case EventKind::kMigrateIn: return "from";
-    case EventKind::kEcAdvance: return "value";
-    case EventKind::kReadFault:
-    case EventKind::kWriteFault: return "hops";
-    default: return "";
-  }
+  const KindInfo* k = info(kind);
+  return k != nullptr ? k->arg1 : "";
 }
 
 }  // namespace ivy::trace

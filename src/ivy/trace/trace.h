@@ -9,9 +9,10 @@
 // trace_event JSON (nodes as processes, categories as threads — loadable
 // in Perfetto / chrome://tracing) and into the hot-page report.
 //
-// Cost discipline: tracing is off by default.  Modules record through
-// the IVY_EVT macro (the svm layer through Svm::emit), which is a single
-// pointer null-check when disabled (Stats::tracer() is nullptr).  A
+// Cost discipline: tracing is off by default.  Each plane records through
+// its one emit point (Ring::emit, RemoteOp::emit, Svm::emit,
+// Scheduler::emit; the fault plane through FaultPlane::account), which
+// tests one pointer when disabled (Stats::tracer() is nullptr).  A
 // disabled tracer allocates no buffer.
 #pragma once
 
@@ -25,7 +26,7 @@
 namespace ivy::trace {
 
 /// Broad lane an event renders under (one "thread" per category in the
-/// Chrome trace).  Index-aligned with category_names().
+/// Chrome trace), named by to_string(Category).
 enum class Category : std::uint8_t {
   kFault = 0,   ///< page-fault resolution spans
   kCoherence,   ///< invalidations, ownership movement, page bodies
@@ -36,8 +37,8 @@ enum class Category : std::uint8_t {
   kCount        // sentinel
 };
 
-/// Fixed roster of event kinds.  Extend freely; kind_names() and
-/// category_of() must match.
+/// Fixed roster of event kinds.  Extend freely; the kind table in
+/// trace.cc (name, category, argument names) must match.
 enum class EventKind : std::uint8_t {
   // faults (arg0 = page, arg1 = requester/level detail)
   kReadFault = 0,    ///< span: read-fault start -> resolution
@@ -192,14 +193,3 @@ class Tracer {
 };
 
 }  // namespace ivy::trace
-
-/// Event-recording entry point for instrumented modules: expands to a
-/// single branch on Stats::tracer() (nullptr unless tracing is enabled).
-///
-///   IVY_EVT(stats_, record(self_, trace::EventKind::kRetransmit, id, dst));
-#define IVY_EVT(stats, call)                                     \
-  do {                                                           \
-    if (::ivy::trace::Tracer* ivy_evt_t = (stats).tracer()) {    \
-      ivy_evt_t->call;                                           \
-    }                                                            \
-  } while (0)

@@ -93,7 +93,13 @@ TEST_F(AnalyzeRoundTrip, LoadsEveryExportedEvent) {
 
 TEST_F(AnalyzeRoundTrip, CrossCheckReproducesLiveCounters) {
   const auto rows = cross_check(trace_, metrics_);
-  ASSERT_FALSE(rows.empty());
+  // Only counters that count a different transition than the trace
+  // records; the rest agree by construction at their emit points.
+  std::vector<std::string> names;
+  for (const CrossCheckRow& row : rows) names.push_back(row.counter);
+  EXPECT_EQ(names, (std::vector<std::string>{"read_faults", "write_faults",
+                                             "invalidations_sent",
+                                             "forwards"}));
   std::size_t asserted = 0;
   for (const CrossCheckRow& row : rows) {
     if (!row.checked) continue;

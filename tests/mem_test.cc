@@ -14,11 +14,9 @@ constexpr std::size_t kPage = 256;
 
 class FramePoolTest : public testing::Test {
  protected:
-  FramePoolTest() : stats_(1) {}
-
   FramePool make(std::size_t capacity,
                  ReplacementPolicy policy = ReplacementPolicy::kStrictLru) {
-    FramePool pool(stats_, 0, kPage, capacity, policy, /*seed=*/7);
+    FramePool pool(0, kPage, capacity, policy, /*seed=*/7);
     pool.set_evict_callback(
         [this](PageId page, std::span<const std::byte>) {
           evicted_.push_back(page);
@@ -27,7 +25,6 @@ class FramePoolTest : public testing::Test {
     return pool;
   }
 
-  Stats stats_;
   std::vector<PageId> evicted_;
 };
 
@@ -89,7 +86,7 @@ TEST_F(FramePoolTest, PinnedFramesAreNotEvicted) {
 }
 
 TEST_F(FramePoolTest, SkipMovesToNextVictim) {
-  FramePool pool(stats_, 0, kPage, 2, ReplacementPolicy::kStrictLru, 7);
+  FramePool pool(0, kPage, 2, ReplacementPolicy::kStrictLru, 7);
   PageId protected_page = 1;
   pool.set_evict_callback(
       [&](PageId page, std::span<const std::byte>) {
@@ -111,7 +108,7 @@ TEST_F(FramePoolTest, SampledLruEvictsSomethingOldish) {
   int old_evictions = 0;
   constexpr int kTrials = 40;
   for (int trial = 0; trial < kTrials; ++trial) {
-    FramePool pool(stats_, 0, kPage, 64, ReplacementPolicy::kSampledLru,
+    FramePool pool(0, kPage, 64, ReplacementPolicy::kSampledLru,
                    static_cast<std::uint64_t>(trial));
     std::vector<PageId> evicted;
     pool.set_evict_callback(

@@ -2,14 +2,16 @@
 // ivy-bench sweep (six workloads x four managers x N = 1, 4) runs once
 // unobserved and once under each observer — tracing with a metrics
 // export, the cost-attribution profiler, the strict coherence oracle, and
-// all of them together — and must report the same elapsed virtual time
-// and the same value of every counter.  The oracle's final audit drains
+// all of them together — and must report the same elapsed virtual time,
+// the same value of every counter, and the same count and sum of every
+// latency histogram on every node.  The oracle's final audit drains
 // the machine, so it runs only after the program's numbers are taken
 // (Runtime::final_audit).
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ivy/apps/sweep.h"
@@ -34,6 +36,9 @@ constexpr std::array<Observers, 4> kObserved = {{
 struct Measured {
   Time elapsed = 0;
   std::array<std::uint64_t, kCounterCount> counters{};
+  /// Per node, per Hist: {count, sum}.
+  std::vector<std::array<std::pair<std::uint64_t, std::uint64_t>, kHistCount>>
+      hists;
 };
 
 struct Point {
@@ -56,6 +61,13 @@ Measured run_point(const Point& point, NodeId nodes, const Observers& obs) {
   for (std::size_t c = 0; c < kCounterCount; ++c) {
     m.counters[c] = agg.get(static_cast<Counter>(c));
   }
+  m.hists.resize(nodes);
+  for (NodeId n = 0; n < nodes; ++n) {
+    for (std::size_t h = 0; h < kHistCount; ++h) {
+      const Histogram& hist = rt.stats().node_hist(n, static_cast<Hist>(h));
+      m.hists[n][h] = {hist.count(), hist.sum()};
+    }
+  }
   if (obs.trace) {
     EXPECT_TRUE(rt.write_metrics(testing::TempDir() +
                                      "ivy_observation_metrics.json",
@@ -70,7 +82,7 @@ Measured run_point(const Point& point, NodeId nodes, const Observers& obs) {
 
 class ObservationInvariance : public testing::TestWithParam<Point> {};
 
-TEST_P(ObservationInvariance, ElapsedAndCountersUnchanged) {
+TEST_P(ObservationInvariance, ElapsedCountersAndHistogramsUnchanged) {
   for (const NodeId nodes : {1u, 4u}) {
     const Measured plain = run_point(GetParam(), nodes, Observers{"none"});
     for (const Observers& obs : kObserved) {
@@ -80,6 +92,13 @@ TEST_P(ObservationInvariance, ElapsedAndCountersUnchanged) {
       for (std::size_t c = 0; c < kCounterCount; ++c) {
         EXPECT_EQ(seen.counters[c], plain.counters[c])
             << obs.name << " N=" << nodes << " " << counter_names()[c];
+      }
+      for (NodeId n = 0; n < nodes; ++n) {
+        for (std::size_t h = 0; h < kHistCount; ++h) {
+          EXPECT_EQ(seen.hists[n][h], plain.hists[n][h])
+              << obs.name << " N=" << nodes << " node " << n << " "
+              << hist_names()[h] << " {count, sum}";
+        }
       }
     }
   }

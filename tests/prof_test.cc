@@ -21,7 +21,6 @@ namespace ivy {
 namespace {
 
 using prof::Cat;
-using prof::ChargeScope;
 using prof::Domain;
 using prof::FaultLeg;
 using prof::Profiler;
@@ -83,18 +82,11 @@ TEST(Prof, BusySpansBeatWaits) {
   EXPECT_EQ(sum_cats(p, 0), 120);
 }
 
-TEST(Prof, NestedChargeScopesSplitTheDispatch) {
+TEST(Prof, NotedFiberChargesSplitTheDispatch) {
   Profiler p(1);
-  {
-    ChargeScope outer(&p, Cat::kLockSpin);
-    p.note_fiber_charge(0, 30);
-    {
-      ChargeScope inner(&p, Cat::kDisk);  // innermost wins
-      p.note_fiber_charge(0, 20);
-    }
-    p.note_fiber_charge(0, 10);  // back to the outer scope
-  }
-  p.note_fiber_charge(0, 40);  // no scope: default compute
+  p.note_fiber_charge(0, 30, Cat::kLockSpin);
+  p.note_fiber_charge(0, 20, Cat::kDisk);
+  p.note_fiber_charge(0, 10, Cat::kLockSpin);  // the unnoted 40: compute
   // Span [0, 5 + 100 + 7): switch cost, fiber charge, svm pending.
   p.commit_dispatch(0, 0, 5, 100, 7);
 
@@ -104,11 +96,6 @@ TEST(Prof, NestedChargeScopesSplitTheDispatch) {
   EXPECT_EQ(p.total(0, Cat::kCompute), 40);
   EXPECT_EQ(p.accounted(0), 112);
   EXPECT_EQ(sum_cats(p, 0), 112);
-}
-
-TEST(Prof, ChargeScopeIsNullProfilerSafe) {
-  ChargeScope scope(nullptr, Cat::kDisk);  // must not crash
-  SUCCEED();
 }
 
 TEST(Prof, FaultLegRetagPreservesReadWriteFamily) {

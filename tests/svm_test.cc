@@ -372,93 +372,6 @@ TEST(SvmGeometry, PageAndOffsetMath) {
   EXPECT_EQ(geo.offset_of(1030), 6u);
 }
 
-// Regression for the stale-reference hazard in invalidate_copies: the
-// round's kInvalidateStart event reaches the sink mid-round, and a sink
-// that grows the page table reallocates the PageEntry vector.  The old
-// code kept a PageEntry& across that callout and the ack continuations;
-// under ASan this test caught the dangling read.
-class GrowingObserver : public EventSink {
- public:
-  std::vector<Svm*> svms;
-  PageId grow_to = 0;
-  bool grown = false;
-
-  void on_event(const Event& e) override {
-    if (e.kind != EventKind::kInvalidateStart || grown || grow_to == 0) {
-      return;
-    }
-    grown = true;
-    // The address space is shared: every node grows in lockstep.
-    for (Svm* svm : svms) svm->grow_table(grow_to);
-  }
-};
-
-class GrowMidRound : public testing::TestWithParam<ManagerKind> {};
-
-TEST_P(GrowMidRound, TableGrowthDuringInvalidationRoundIsSafe) {
-  constexpr PageId kInitialPages = 64;
-  constexpr PageId kGrownPages = 96;
-  sim::Simulator sim;
-  Stats stats(3);
-  net::Ring ring(sim, stats, 3);
-  GrowingObserver obs;
-  obs.grow_to = kGrownPages;
-  SvmOptions opts;
-  opts.geo = Geometry{256, kInitialPages};
-  opts.manager = GetParam();
-  opts.sink = &obs;
-  std::vector<std::unique_ptr<rpc::RemoteOp>> rpcs;
-  std::vector<std::unique_ptr<Svm>> svms;
-  for (NodeId n = 0; n < 3; ++n) {
-    rpcs.push_back(std::make_unique<rpc::RemoteOp>(sim, ring, stats, n));
-    svms.push_back(
-        std::make_unique<Svm>(sim, *rpcs.back(), stats, n, 3, opts));
-    obs.svms.push_back(svms.back().get());
-  }
-  auto ensure = [&](NodeId node, PageId page, Access want) {
-    bool done = false;
-    svms[node]->request_access(page, want, [&] { done = true; });
-    sim.run_while([&] { return !done; });
-    ASSERT_TRUE(done);
-    sim.run_until_idle();
-  };
-
-  const std::uint64_t magic = 0xfeedbeef;
-  svms[0]->write_bytes(0, std::as_bytes(std::span(&magic, 1)));
-  ensure(1, 0, Access::kRead);
-  ensure(2, 0, Access::kRead);
-  // The upgrade's invalidation round reaches the sink, which grows
-  // the table of every node mid-round.
-  ensure(0, 0, Access::kWrite);
-  ASSERT_TRUE(obs.grown);
-  for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_EQ(svms[n]->geometry().num_pages, kGrownPages);
-    EXPECT_EQ(svms[n]->table().num_pages(), kGrownPages);
-    EXPECT_EQ(svms[n]->table().at(0).access,
-              n == 0 ? Access::kWrite : Access::kNil);
-  }
-  // The grown region is live protocol state: pages fault and move like
-  // the original ones (manager owner maps were extended too).
-  const PageId fresh = kInitialPages + 10;
-  ensure(1, fresh, Access::kWrite);
-  const std::uint64_t v = 0xd00d;
-  svms[1]->write_bytes(static_cast<SvmAddr>(fresh) * 256,
-                       std::as_bytes(std::span(&v, 1)));
-  ensure(2, fresh, Access::kRead);
-  std::uint64_t out = 0;
-  svms[2]->read_bytes(static_cast<SvmAddr>(fresh) * 256,
-                      std::as_writable_bytes(std::span(&out, 1)));
-  EXPECT_EQ(out, v);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllManagers, GrowMidRound,
-    testing::Values(ManagerKind::kCentralized, ManagerKind::kFixedDistributed,
-                    ManagerKind::kDynamicDistributed, ManagerKind::kBroadcast),
-    [](const testing::TestParamInfo<ManagerKind>& info) {
-      return to_string(info.param);
-    });
-
 TEST(SvmProbOwner, DynamicChainsCompressTowardOwner) {
   SvmHarness h(8, ManagerKind::kDynamicDistributed);
   // Walk ownership through all nodes, then verify every node's hint
