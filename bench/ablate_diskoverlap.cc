@@ -27,6 +27,7 @@ void run() {
     Config cfg = base_config(2);
     cfg.frames_per_node = 300;
     cfg.disk_io_stalls_node = stalls;
+    apply_cli(cfg);
     auto rt = std::make_unique<Runtime>(cfg);
     apps::Pde3dParams p;
     p.m = kGrid;
@@ -34,6 +35,7 @@ void run() {
     p.processes = 4;
     p.skip_verify = true;
     const apps::RunOutcome out = run_pde3d(*rt, p);
+    export_run(*rt, out.elapsed);
     std::printf("  %-26s %10.3f %12llu\n",
                 stalls ? "IVY (node stalls)" : "integrated (overlap)",
                 to_seconds(out.elapsed),
@@ -51,7 +53,8 @@ void run() {
 }  // namespace
 }  // namespace ivy::bench
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ivy::bench::parse_cli(argc, argv)) return 2;
   ivy::bench::run();
   return 0;
 }

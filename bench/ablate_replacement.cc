@@ -26,12 +26,14 @@ void run() {
     Config cfg = base_config(1);
     cfg.frames_per_node = kFrames;
     cfg.replacement = policy;
+    apply_cli(cfg);
     auto rt = std::make_unique<Runtime>(cfg);
     apps::Pde3dParams p;
     p.m = kGrid;
     p.iterations = 4;
     p.skip_verify = true;
     const apps::RunOutcome out = run_pde3d(*rt, p);
+    export_run(*rt, out.elapsed);
     std::printf("  %-14s %10.3f %12llu %12llu\n", to_string(policy),
                 to_seconds(out.elapsed),
                 static_cast<unsigned long long>(
@@ -48,7 +50,8 @@ void run() {
 }  // namespace
 }  // namespace ivy::bench
 
-int main() {
+int main(int argc, char** argv) {
+  if (!ivy::bench::parse_cli(argc, argv)) return 2;
   ivy::bench::run();
   return 0;
 }

@@ -34,14 +34,21 @@ class Disk {
   /// Reads a page image back; returns the transfer time.  The page must
   /// have been written before.
   Time read(PageId page, std::span<std::byte> out) {
+    const std::span<const std::byte> image = peek(page);
+    IVY_CHECK_EQ(image.size(), out.size());
+    std::copy(image.begin(), image.end(), out.begin());
+    stats_.bump(node_, Counter::kDiskReads);
+    return costs_.disk_io;
+  }
+
+  /// The stored image of a written page, without a transfer: host-side
+  /// inspection, which costs no time and counts no disk read.
+  [[nodiscard]] std::span<const std::byte> peek(PageId page) const {
     auto it = store_.find(page);
     IVY_CHECK_MSG(it != store_.end(),
                   "disk read of unwritten page " << page << " on node "
                                                  << node_);
-    IVY_CHECK_EQ(it->second.size(), out.size());
-    std::copy(it->second.begin(), it->second.end(), out.begin());
-    stats_.bump(node_, Counter::kDiskReads);
-    return costs_.disk_io;
+    return it->second;
   }
 
   /// Discards a page image (ownership moved elsewhere).

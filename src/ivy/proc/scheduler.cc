@@ -126,7 +126,16 @@ void Scheduler::make_ready(Pcb& pcb) {
 void Scheduler::schedule_dispatch() {
   if (dispatch_pending_ || running_ != nullptr) return;
   dispatch_pending_ = true;
-  sim_.schedule_at(std::max(sim_.now(), busy_until_), [this] {
+  queue_dispatch(std::max(sim_.now(), busy_until_));
+}
+
+void Scheduler::queue_dispatch(Time at) {
+  sim_.schedule_at(at, [this] {
+    // A stall issued after this dispatch was queued holds it.
+    if (stalled_until_ > sim_.now()) {
+      queue_dispatch(stalled_until_);
+      return;
+    }
     dispatch_pending_ = false;
     dispatch();
   });
@@ -230,15 +239,13 @@ void Scheduler::charge_current(Time t) {
 }
 
 void Scheduler::stall(Time t) {
+  // Inside a fiber, disk time goes to the svm pending charge instead
+  // (Svm::book_disk): the dispatch commit would overwrite a stall.
+  IVY_CHECK_MSG(running_ == nullptr, "stall inside a process");
   const Time from = std::max(busy_until_, sim_.now());
   busy_until_ = from + t;
-  // Inside a fiber the same cost also reaches the busy model through the
-  // svm pending charge, which the dispatch commit attributes; charging
-  // here too would double-book it.  Event-context stalls (remote disk
-  // work, evictions during message service) are only visible here.
-  if (running_ == nullptr) {
-    emit({.kind = EventKind::kStalled, .start = from, .span = t});
-  }
+  stalled_until_ = busy_until_;
+  emit({.kind = EventKind::kStalled, .start = from, .span = t});
 }
 
 void Scheduler::set_migratable(bool migratable) {

@@ -137,8 +137,9 @@ class Scheduler {
     return static_cast<std::uint8_t>(std::min(proc_count_, 255));
   }
 
-  /// Occupies this node's CPU for `t` starting now (disk I/O without
-  /// overlap, per the paper's IVY).
+  /// Occupies this node's CPU for `t` from the end of its busy time, and
+  /// holds a dispatch already queued until then (event-context disk I/O
+  /// without overlap, per the paper's IVY).
   void stall(Time t);
 
   /// Reports a transition of this node to every consumer (event.cc).
@@ -146,6 +147,7 @@ class Scheduler {
 
  private:
   void schedule_dispatch();
+  void queue_dispatch(Time at);
   void dispatch();
   void finish(Pcb& pcb);
   void on_resume_msg(net::Message&& msg);
@@ -171,6 +173,9 @@ class Scheduler {
   Pcb* running_ = nullptr;
   Pcb* last_dispatched_ = nullptr;
   Time busy_until_ = 0;
+  /// End of the last stall.  Unlike the rest of busy_until_ (spawn
+  /// bookkeeping), a stall also holds a dispatch queued before it.
+  Time stalled_until_ = 0;
   bool dispatch_pending_ = false;
   int proc_count_ = 0;  ///< ready + running + blocked (not finished/migrated)
 

@@ -261,11 +261,9 @@ void Runtime::host_read_bytes(SvmAddr addr, std::span<std::byte> out) {
     IVY_CHECK_NE(owner, kNoNode);
     svm::Svm& osvm = node_of(owner).svm;
     if (osvm.table().at(page).on_disk) {
-      // Peek the disk image without disturbing counters' meaning much:
-      // host reads are instrumentation, so go through a scratch copy.
-      std::vector<std::byte> scratch(geo.page_size);
-      osvm.paging_disk().read(page, scratch);
-      std::memcpy(out.data() + done, scratch.data() + off, chunk);
+      // Host reads are instrumentation: peek, which counts no disk read.
+      const std::span<const std::byte> image = osvm.paging_disk().peek(page);
+      std::memcpy(out.data() + done, image.data() + off, chunk);
     } else if (const std::byte* frame = osvm.frames().peek(page)) {
       std::memcpy(out.data() + done, frame + off, chunk);
     } else {
@@ -282,8 +280,8 @@ void Runtime::host_write_bytes(SvmAddr addr, std::span<const std::byte> in) {
   while (done < in.size()) {
     const SvmAddr a = addr + done;
     const PageId page = geo.page_of(a);
-    const std::size_t off = geo.offset_of(a);
-    const std::size_t chunk = std::min(in.size() - done, geo.page_size - off);
+    const std::size_t chunk =
+        std::min(in.size() - done, geo.page_size - geo.offset_of(a));
     NodeId owner = kNoNode;
     for (NodeId n = 0; n < cfg_.nodes; ++n) {
       if (node_of(n).svm.table().at(page).owned) owner = n;
@@ -294,8 +292,7 @@ void Runtime::host_write_bytes(SvmAddr addr, std::span<const std::byte> in) {
     // Host writes may not race live read copies (they would go stale).
     IVY_CHECK_MSG(entry.copyset.empty() && !entry.on_disk,
                   "host_write to a shared/spilled page " << page);
-    std::byte* frame = osvm.usable_frame(page);
-    std::memcpy(frame + off, in.data() + done, chunk);
+    osvm.write_bytes(a, in.subspan(done, chunk));
     done += chunk;
   }
 }

@@ -24,7 +24,8 @@ enum class EventKind : std::uint8_t {
   kFaultComplete,     ///< fault ends (level kNil: a protocol hold); start
   kDiskRestore,       ///< an owned paged-out image starts coming back
   kDiskRestored,      ///< ...and is back; start = IO start
-  kPagedOut,          ///< replacement wrote an owned page to disk
+  kPagedOut,          ///< replacement evicted an owned page; body kShipped:
+                      ///  its image was written, kElided: the disk holds it
   kCopyEvicted,       ///< replacement dropped a read copy
   // routing and serving, at the forwarder / owner / copy holder
   kForward,           ///< peer's request routed onward (level = read/write)
@@ -47,9 +48,9 @@ enum class EventKind : std::uint8_t {
 
 [[nodiscard]] const char* to_string(EventKind kind);
 
-/// How the page image travels: not at all, in the message, or elided
-/// because the receiver holds this version.  Any value but kNone puts
-/// the image at stake (the sink checksums it).
+/// How the page image travels: not at all, in the message (or to disk),
+/// or elided because the receiver (or the disk) holds this version.  Any
+/// value but kNone puts the image at stake (the sink checksums it).
 enum class Body : std::uint8_t { kNone, kShipped, kElided };
 
 struct Event {

@@ -75,6 +75,11 @@ struct PageEntry {
   std::uint64_t version = 0;
   /// The owner's image currently lives on its local disk (evicted).
   bool on_disk = false;
+  /// The owner's disk still holds an image equal to the resident frame
+  /// (the modify bit, inverted): a page-in leaves the image in place, so
+  /// evicting the page again writes nothing.  Cleared by any write to the
+  /// frame and whenever ownership or contents change.
+  bool disk_current = false;
 
   /// A fault initiated by this node is outstanding for this page.  Also
   /// set during an owner's disk restore, which is a page fault in IVY

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "ivy/base/log.h"
+#include "ivy/sim/fiber.h"
 #include "ivy/svm/manager.h"
 
 namespace ivy::svm {
@@ -122,11 +123,12 @@ void Svm::write_bytes(SvmAddr addr, std::span<const std::byte> in) {
     const PageId page = geo.page_of(a);
     const std::size_t off = geo.offset_of(a);
     const std::size_t chunk = std::min(in.size() - done, geo.page_size - off);
-    const PageEntry& entry = table_.at(page);
+    PageEntry& entry = table_.at(page);
     IVY_CHECK_MSG(satisfies(entry.access, Access::kWrite),
                   "write without access: node " << self_ << " page " << page);
     std::byte* frame = usable_frame(page);
     std::memcpy(frame + off, in.data() + done, chunk);
+    entry.disk_current = false;
     done += chunk;
   }
 }
@@ -150,14 +152,18 @@ void Svm::begin_disk_restore(PageId page) {
   entry.fault_level = Access::kNil;
   entry.fault_start = sim_.now();
   emit({.kind = EventKind::kDiskRestore, .page = page});
-  stall_node(sim_.costs().disk_io);
+  // Under the integrated scheduler a page-in blocks only the processes
+  // that wait for the page; the CPU runs on.
+  if (options_.disk_io_stalls_node) book_disk(sim_.costs().disk_io);
   sim_.schedule_after(sim_.costs().disk_io, [this, page] {
     PageEntry& e = table_.at(page);
     IVY_CHECK(e.owned && e.on_disk);
     std::byte* bytes = pool_.acquire(page);
     disk_.read(page, std::span<std::byte>(bytes, options_.geo.page_size));
-    disk_.discard(page);
+    // The image stays on disk: until the frame is written, evicting it
+    // again costs nothing.
     e.on_disk = false;
+    e.disk_current = true;
     e.access = e.copyset.empty() ? Access::kWrite : Access::kRead;
     // Reported at IO completion, not at schedule time, which would
     // timestamp the stall before it happened.
@@ -401,7 +407,7 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
   entry.copyset |= grant.copyset;  // keep our own served readers too
   entry.copyset.remove(self_);
   entry.prob_owner = self_;
-  entry.on_disk = false;
+  drop_disk_image(grant.page);
   if (grant.body != nullptr) install_body(grant.page, grant.body);
   entry.access = entry.copyset.empty() ? Access::kWrite : Access::kRead;
   emit({.kind = EventKind::kOwnershipGained, .page = grant.page, .peer = from,
@@ -578,8 +584,7 @@ void Svm::on_grant_ack(net::Message&& msg) {
     entry.copyset.clear();
     entry.prob_owner = it->second.to;
     pool_.release(ack.page);
-    disk_.discard(ack.page);
-    entry.on_disk = false;
+    drop_disk_image(ack.page);
     emit({.kind = EventKind::kOwnershipReleased, .page = ack.page,
           .peer = it->second.to, .version = ack.version,
           .start = entry.fault_start});
@@ -643,14 +648,14 @@ PageTransfer Svm::detach_page(PageId page, NodeId new_owner, bool with_body) {
       if (entry.on_disk) {
         std::byte* bytes = pool_.acquire(page);
         disk_.read(page, std::span<std::byte>(bytes, options_.geo.page_size));
-        add_pending_charge(sim_.costs().disk_io);
+        book_disk(sim_.costs().disk_io);
       }
       transfer.body = snapshot(page);
     }
   }
   entry.owned = false;
   entry.access = Access::kNil;
-  entry.on_disk = false;
+  drop_disk_image(page);
   entry.copyset.clear();
   entry.prob_owner = new_owner;
   // Reported before the frame goes: the sink checksums the shipped image.
@@ -659,7 +664,6 @@ PageTransfer Svm::detach_page(PageId page, NodeId new_owner, bool with_body) {
         .body = !with_body             ? Body::kNone
                 : transfer.body_elided ? Body::kElided
                                        : Body::kShipped});
-  disk_.discard(page);
   pool_.release(page);
   return transfer;
 }
@@ -672,7 +676,7 @@ void Svm::adopt_page(const PageTransfer& transfer) {
   entry.version = transfer.version;
   entry.copyset = transfer.copyset;
   entry.copyset.remove(self_);
-  entry.on_disk = false;
+  drop_disk_image(transfer.page);
   entry.prob_owner = self_;
   if (transfer.body != nullptr) {
     install_body(transfer.page, transfer.body);
@@ -695,17 +699,38 @@ mem::FramePool::EvictAction Svm::on_evict(PageId page,
   PageEntry& entry = table_.at(page);
   if (entry.busy()) return mem::FramePool::EvictAction::kSkip;
   if (entry.owned) {
-    disk_.write(page, bytes);
-    add_pending_charge(sim_.costs().disk_io);
-    stall_node(sim_.costs().disk_io);
+    // Only a modified page is written: a clean one's image is on disk.
+    const bool write = !entry.disk_current;
+    if (write) {
+      disk_.write(page, bytes);
+      book_disk(sim_.costs().disk_io);
+    }
     entry.on_disk = true;
+    entry.disk_current = false;
     entry.access = Access::kNil;
-    emit({.kind = EventKind::kPagedOut, .page = page});
+    emit({.kind = EventKind::kPagedOut, .page = page,
+          .body = write ? Body::kShipped : Body::kElided});
     return mem::FramePool::EvictAction::kWriteToDisk;
   }
   entry.access = Access::kNil;
   emit({.kind = EventKind::kCopyEvicted, .page = page});
   return mem::FramePool::EvictAction::kDrop;
+}
+
+void Svm::book_disk(Time t) {
+  if (options_.disk_io_stalls_node && sim::Fiber::current() == nullptr &&
+      stall_hook_) {
+    stall_hook_(t);
+  } else {
+    pending_charge_ += t;
+  }
+}
+
+void Svm::drop_disk_image(PageId page) {
+  PageEntry& entry = table_.at(page);
+  disk_.discard(page);
+  entry.on_disk = false;
+  entry.disk_current = false;
 }
 
 }  // namespace ivy::svm

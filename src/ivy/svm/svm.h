@@ -130,24 +130,18 @@ class Svm {
   /// (event.cc); call it after the page-table mutation it describes.
   void emit(Event e);
 
-  /// Virtual time cost accrued by protocol activity on behalf of the
-  /// local client (evictions, disk restores) since the last drain; the
-  /// process layer charges it to the resuming fiber.
+  /// Disk time book_disk left to the next dispatch since the last drain;
+  /// the dispatch commit adds it to the fiber's busy span.
   [[nodiscard]] Time take_pending_charge() {
     Time t = pending_charge_;
     pending_charge_ = 0;
     return t;
   }
-  void add_pending_charge(Time t) { pending_charge_ += t; }
 
   /// Hook stalling this node's CPU for `t` (wired to the scheduler by the
-  /// runtime); used when disk_io_stalls_node models IVY's missing
-  /// I/O overlap.
+  /// runtime): book_disk's event-context half.
   void set_stall_hook(std::function<void(Time)> hook) {
     stall_hook_ = std::move(hook);
-  }
-  void stall_node(Time t) {
-    if (options_.disk_io_stalls_node && stall_hook_) stall_hook_(t);
   }
 
   // --- helpers shared by the manager strategies --------------------------
@@ -249,6 +243,18 @@ class Svm {
  private:
   mem::FramePool::EvictAction on_evict(PageId page,
                                        std::span<const std::byte> bytes);
+
+  /// Books one disk transfer of `t` on this node's CPU, once.  In event
+  /// context under IVY's missing I/O overlap (disk_io_stalls_node) it
+  /// stalls the node.  Otherwise it joins the pending charge: inside a
+  /// fiber because the dispatch commit sets the node's busy time from the
+  /// charge and would overwrite a stall; under the integrated scheduler
+  /// because the next dispatch pays for it.
+  void book_disk(Time t);
+
+  /// Drops this node's disk image of `page`: its ownership or contents
+  /// change, so the image no longer stands for the page.
+  void drop_disk_image(PageId page);
 
   struct PendingTransfer {
     NodeId to = kNoNode;

@@ -167,6 +167,18 @@ TEST(DiskTest, RoundTripsPageImages) {
   EXPECT_EQ(disk.pages_stored(), 0u);
 }
 
+TEST(DiskTest, PeekIsNoTransfer) {
+  Stats stats(1);
+  sim::CostModel costs;
+  Disk disk(stats, costs, 0);
+  std::vector<std::byte> in(kPage, std::byte{5});
+  disk.write(4, in);
+  const std::span<const std::byte> image = disk.peek(4);
+  ASSERT_EQ(image.size(), kPage);
+  EXPECT_EQ(image[kPage - 1], std::byte{5});
+  EXPECT_EQ(stats.total(Counter::kDiskReads), 0u);
+}
+
 TEST(DiskTest, OverwriteKeepsLatestImage) {
   Stats stats(1);
   sim::CostModel costs;

@@ -80,6 +80,19 @@ TEST(ProcTest, BlockAndExternalResume) {
   EXPECT_GE(rt.now(), ms(5));
 }
 
+TEST(ProcTest, EventContextStallHoldsAQueuedDispatch) {
+  runtime::Runtime rt(two_nodes());
+  Scheduler& sched = rt.scheduler(0);
+  Time ran_at = -1;
+  // Spawning queues the first dispatch behind the creation cost.
+  rt.spawn_on(0, [&] { ran_at = rt.now(); });
+  const Time create = rt.config().costs.proc_create;
+  // A disk stall from event context after that must still hold it.
+  rt.simulator().schedule_at(create / 2, [&] { sched.stall(ms(25)); });
+  rt.run();
+  EXPECT_EQ(ran_at, create + ms(25));
+}
+
 TEST(ProcTest, StaleEpochWakeupIsIgnored) {
   runtime::Runtime rt(two_nodes());
   int resumed = 0;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "ivy/apps/dotprod.h"
+#include "ivy/apps/pde3d.h"
 #include "ivy/prof/prof.h"
 #include "ivy/runtime/flags.h"
 #include "ivy/runtime/runtime.h"
@@ -235,6 +236,31 @@ INSTANTIATE_TEST_SUITE_P(AllManagers, ProfManagerTest,
                                            svm::ManagerKind::kFixedDistributed,
                                            svm::ManagerKind::kDynamicDistributed,
                                            svm::ManagerKind::kBroadcast));
+
+TEST(ProfRuntime, DiskTimeIsOneTransferTimeEach) {
+  // One node paging a small 3-D PDE: each disk transfer is booked on the
+  // node once, and host reads of spilled pages (the verification) are no
+  // transfers at all.
+  Config cfg;
+  cfg.nodes = 1;
+  cfg.heap_pages = 256;
+  cfg.stack_region_pages = 64;
+  cfg.frames_per_node = 16;
+  cfg.prof_enabled = true;
+  Runtime rt(cfg);
+  apps::Pde3dParams params;
+  params.m = 10;
+  params.iterations = 2;
+  const apps::RunOutcome outcome = apps::run_pde3d(rt, params);
+  EXPECT_TRUE(outcome.verified) << outcome.detail;
+  const Profiler::Snapshot* snap = rt.run_prof();
+  ASSERT_NE(snap, nullptr);
+  const std::uint64_t transfers = rt.stats().total(Counter::kDiskReads) +
+                                  rt.stats().total(Counter::kDiskWrites);
+  EXPECT_GT(transfers, 50u);
+  EXPECT_EQ(snap->totals[0][static_cast<std::size_t>(Cat::kDisk)],
+            static_cast<Time>(transfers) * cfg.costs.disk_io);
+}
 
 TEST(ProfRuntime, DisabledByDefault) {
   Config cfg;

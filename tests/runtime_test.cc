@@ -73,6 +73,47 @@ TEST(RuntimeTest, HostReadFindsDataWhereverItLives) {
   }
 }
 
+// Host-written pages through a few strict-LRU frames.  Page A is paged
+// back in, optionally host-written, then pushed out again; returns the
+// disk writes that push made and checks A's contents.
+std::uint64_t write_back_of_paged_in_page(bool host_write) {
+  constexpr std::size_t kFrames = 5;
+  Config cfg = small(1);
+  cfg.frames_per_node = kFrames;
+  cfg.replacement = mem::ReplacementPolicy::kStrictLru;
+  Runtime rt(cfg);
+  const std::size_t per_page = cfg.page_size / sizeof(std::uint64_t);
+  auto data = rt.alloc_array<std::uint64_t>((2 * kFrames + 1) * per_page);
+  const auto put = [&](std::size_t i, std::uint64_t v) {
+    rt.host_write(data.address_of(i), v);
+  };
+  // A (page 0) goes to disk when page kFrames arrives; bring it back.
+  for (std::size_t p = 0; p <= kFrames; ++p) put(p * per_page, p);
+  svm::Svm& svm = rt.svm(0);
+  const PageId a = svm.geometry().page_of(data.address_of(0));
+  EXPECT_TRUE(svm.table().at(a).on_disk);
+  svm.request_access(a, svm::Access::kRead, [] {});
+  rt.drain();
+  if (host_write) put(1, 99);
+  // A is now the most recently used frame: kFrames new pages push it out.
+  const std::uint64_t before = rt.stats().total(Counter::kDiskWrites);
+  for (std::size_t p = kFrames + 1; p <= 2 * kFrames; ++p) {
+    put(p * per_page, p);
+  }
+  const std::uint64_t writes = rt.stats().total(Counter::kDiskWrites) - before;
+  EXPECT_TRUE(svm.table().at(a).on_disk);
+  // Host reads of a spilled page are not disk transfers.
+  const std::uint64_t reads = rt.stats().total(Counter::kDiskReads);
+  EXPECT_EQ(rt.host_read(data, 1), host_write ? 99u : 0u);
+  EXPECT_EQ(rt.stats().total(Counter::kDiskReads), reads);
+  return writes;
+}
+
+TEST(RuntimeTest, HostWriteAfterPageInIsWrittenBack) {
+  EXPECT_EQ(write_back_of_paged_in_page(true),
+            write_back_of_paged_in_page(false) + 1);
+}
+
 TEST(RuntimeTest, AllocRawExhaustionAborts) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(

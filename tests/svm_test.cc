@@ -241,6 +241,42 @@ TEST_P(SvmProtocol, EvictionSpillsOwnedPageAndRestores) {
   EXPECT_GT(h.stats_.total(Counter::kDiskReads), 0u);
 }
 
+TEST_P(SvmProtocol, OnlyModifiedPagesAreWrittenBack) {
+  SvmHarness h(2, GetParam(), /*frames=*/1);
+  const mem::Disk& disk = h.at(0).paging_disk();
+  const auto writes = [&] {
+    return h.stats_.node_total(0, Counter::kDiskWrites);
+  };
+  h.write_u64(0, 0, 10);
+  h.write_u64(0, 256, 11);  // page 1 takes the frame: page 0 is written
+  EXPECT_EQ(writes(), 1u);
+  h.ensure(0, 0, Access::kRead);  // page-in; the modified page 1 is written
+  EXPECT_EQ(writes(), 2u);
+  EXPECT_TRUE(disk.holds(0));  // the page-in kept the image
+  // Clean pages trade the frame without a single write.
+  h.ensure(0, 1, Access::kRead);
+  h.ensure(0, 0, Access::kRead);
+  EXPECT_EQ(writes(), 2u);
+  EXPECT_EQ(h.stats_.node_total(0, Counter::kDiskReads), 3u);
+  EXPECT_EQ(h.read_u64(0, 0), 10u);
+  // A write after the page-in makes the next eviction write.
+  h.write_u64(0, 8, 12);
+  h.ensure(0, 1, Access::kRead);
+  EXPECT_EQ(writes(), 3u);
+  EXPECT_EQ(h.read_u64(0, 256), 11u);
+  h.ensure(0, 0, Access::kRead);
+  EXPECT_EQ(writes(), 3u);
+  EXPECT_EQ(h.read_u64(0, 0), 10u);
+  EXPECT_EQ(h.read_u64(0, 8), 12u);
+  // Ownership moving away drops the image.
+  EXPECT_TRUE(disk.holds(0));
+  h.ensure(1, 0, Access::kWrite);
+  EXPECT_FALSE(h.at(0).table().at(0).owned);
+  EXPECT_FALSE(disk.holds(0));
+  EXPECT_EQ(h.read_u64(1, 8), 12u);
+  h.check_invariants();
+}
+
 TEST_P(SvmProtocol, RemoteFaultOnSpilledPageRestoresFirst) {
   SvmHarness h(2, GetParam(), /*frames=*/4);
   for (PageId p = 0; p < 8; ++p) {
