@@ -8,8 +8,8 @@
 //
 // We test the projection by halving (and quartering) exactly the
 // software components of the cost model — fault handler, server handling,
-// per-message software latency, page mapping — while leaving the physics
-// (ring bandwidth, disk, CPU) alone, and measuring what that does to the
+// per-message software latency — while leaving the physics (ring
+// bandwidth, disk, CPU) alone, and measuring what that does to the
 // 8-node speedup of the communication-sensitive programs.
 #include "bench/common.h"
 #include "ivy/apps/dotprod.h"
@@ -24,7 +24,6 @@ Config tuned_config(NodeId nodes, int divisor) {
   cfg.costs.fault_handler /= divisor;
   cfg.costs.fault_server /= divisor;
   cfg.costs.msg_latency /= divisor;
-  cfg.costs.map_page /= divisor;
   return cfg;
 }
 

@@ -47,12 +47,17 @@ class CheckMessage {
     }                                                                       \
   } while (0)
 
+// The message is built in a cold out-of-line lambda, so the check costs
+// its caller one branch and no stream code, and small hot helpers with a
+// checked argument stay inlinable.
 #define IVY_CHECK_MSG(cond, ...)                                            \
   do {                                                                      \
     if (!(cond)) [[unlikely]] {                                             \
-      ::ivy::detail::check_failed(                                          \
-          __FILE__, __LINE__, #cond,                                        \
-          (::ivy::detail::CheckMessage{} << __VA_ARGS__).str());            \
+      [&]() __attribute__((cold, noinline, noreturn)) {                     \
+        ::ivy::detail::check_failed(                                        \
+            __FILE__, __LINE__, #cond,                                      \
+            (::ivy::detail::CheckMessage{} << __VA_ARGS__).str());          \
+      }();                                                                  \
     }                                                                       \
   } while (0)
 

@@ -69,8 +69,9 @@ class FramePool {
     return f.bytes.get();
   }
 
-  /// Bytes without affecting recency (for assertions / server peeks).
-  [[nodiscard]] const std::byte* peek(PageId page) const {
+  /// Bytes without affecting recency (for assertions, server peeks and
+  /// the later pages of a reference the process already touched).
+  [[nodiscard]] std::byte* peek(PageId page) const {
     auto it = index_.find(page);
     return it == index_.end() ? nullptr : frames_[it->second].bytes.get();
   }

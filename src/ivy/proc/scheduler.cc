@@ -71,7 +71,7 @@ ProcId Scheduler::spawn(std::function<void()> body, bool migratable) {
   const SvmAddr stack_touch = pcb.stack_base;
   pcb.fiber = std::make_unique<sim::Fiber>(
       [stack_touch, body = std::move(body)] {
-        ensure_access(stack_touch, 1, svm::Access::kWrite);
+        claim_access(stack_touch, svm::Access::kWrite);
         body();
       },
       config_.fiber_stack_bytes);

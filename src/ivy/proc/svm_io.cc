@@ -1,41 +1,111 @@
 #include "ivy/proc/svm_io.h"
 
+#include <algorithm>
 #include <optional>
 
 namespace ivy::proc {
 
-void ensure_access(SvmAddr addr, std::size_t len, svm::Access want) {
+namespace {
+
+/// A miss: charges the fault-handler overhead and blocks the running
+/// process until a fault for `want` access to `page` completes.  The
+/// caller re-checks: the grant may be revoked before the process runs.
+void fault(Scheduler* sched, svm::Svm& svm, PageId page, svm::Access want) {
+  Scheduler::charge_current(sched->simulator().costs().fault_handler);
+  Pcb* pcb = Scheduler::current_pcb();
+  Scheduler::block_current([sched, &svm, page, want, pcb] {
+    svm.request_access(page, want, [sched, pcb] { sched->make_ready(*pcb); });
+  });
+}
+
+Scheduler* current() {
   Scheduler* sched = Scheduler::current_scheduler();
   IVY_CHECK_MSG(sched != nullptr, "SVM access outside a process");
+  return sched;
+}
+
+}  // namespace
+
+std::span<std::byte> ensure_access(SvmAddr addr, std::size_t len,
+                                   svm::Access want) {
+  Scheduler* sched = current();
   svm::Svm& svm = sched->svm();
   const svm::Geometry& geo = svm.geometry();
+  const Time mem_ref = sched->simulator().costs().mem_ref;
   IVY_CHECK_GT(len, 0u);
 
   const PageId first = geo.page_of(addr);
   const PageId last = geo.page_of(addr + len - 1);
+  const std::size_t off = geo.offset_of(addr);
   for (;;) {
     bool faulted = false;
+    std::byte* frame = nullptr;
     for (PageId page = first; page <= last; ++page) {
       // The rights check itself is the memory reference cost.
-      Scheduler::charge_current(sched->simulator().costs().mem_ref);
-      while (!svm.has_access(page, want)) {
+      Scheduler::charge_current(mem_ref);
+      while ((frame = svm.reference(page, want)) == nullptr) {
         faulted = true;
-        Scheduler::charge_current(sched->simulator().costs().fault_handler);
-        Pcb* pcb = Scheduler::current_pcb();
-        Scheduler::block_current([sched, &svm, page, want, pcb] {
-          svm.request_access(page, want,
-                             [sched, pcb] { sched->make_ready(*pcb); });
-        });
-        // Re-check: the grant may have been revoked before we ran again.
+        fault(sched, svm, page, want);
       }
-      // The access happened; release any post-fault hold on the page.
-      svm.consume_grace(page);
     }
+    if (first == last) return {frame + off, geo.page_size - off};
     // An access spanning pages is atomic only if every page was held
     // without an intervening block; any fault may have cost us an
-    // earlier page of the span, so verify the whole run again.
-    if (!faulted || first == last) return;
+    // earlier page of the span, and so may a later page's frame, when
+    // materializing it evicted an earlier one.  Verify the whole run
+    // again.
+    bool held = !faulted;
+    for (PageId page = first; held && page <= last; ++page) {
+      held = svm.has_access(page, want);
+    }
+    if (held) return {svm.frames().peek(first) + off, geo.page_size - off};
   }
+}
+
+void claim_access(SvmAddr addr, svm::Access want) {
+  Scheduler* sched = current();
+  svm::Svm& svm = sched->svm();
+  const PageId page = svm.geometry().page_of(addr);
+  Scheduler::charge_current(sched->simulator().costs().mem_ref);
+  while (!svm.claim(page, want)) fault(sched, svm, page, want);
+}
+
+namespace {
+
+/// Calls `copy(frame, done, n)` for each page after the first of the held
+/// reference at `addr`: `n` bytes at `frame`, `done` bytes into the
+/// reference.  ensure_access touched these frames, so this only peeks.
+template <typename Copy>
+void for_later_pages(SvmAddr addr, std::size_t done, std::size_t len,
+                     Copy copy) {
+  svm::Svm& svm = Scheduler::current_scheduler()->svm();
+  const std::size_t page_size = svm.geometry().page_size;
+  for (; done < len; done += page_size) {
+    std::byte* frame = svm.frames().peek(svm.geometry().page_of(addr + done));
+    IVY_CHECK(frame != nullptr);
+    copy(frame, done, std::min(len - done, page_size));
+  }
+}
+
+}  // namespace
+
+void read_spanning(SvmAddr addr, std::span<const std::byte> head,
+                   std::span<std::byte> out) {
+  std::memcpy(out.data(), head.data(), head.size());
+  for_later_pages(addr, head.size(), out.size(),
+                  [out](const std::byte* frame, std::size_t done,
+                        std::size_t n) {
+                    std::memcpy(out.data() + done, frame, n);
+                  });
+}
+
+void write_spanning(SvmAddr addr, std::span<std::byte> head,
+                    std::span<const std::byte> in) {
+  std::memcpy(head.data(), in.data(), head.size());
+  for_later_pages(addr, head.size(), in.size(),
+                  [in](std::byte* frame, std::size_t done, std::size_t n) {
+                    std::memcpy(frame, in.data() + done, n);
+                  });
 }
 
 void charge_compute(std::int64_t units) {

@@ -1,11 +1,13 @@
 // Blocking shared-virtual-memory access from inside a process.
 //
 // This is the moral equivalent of the MMU + fault-handler path: every
-// reference checks the local page table (one mem_ref of virtual time);
-// a miss charges the fault-handler overhead, blocks the process, and lets
-// the memory mapping manager run the coherence protocol.  Access can be
-// revoked between the grant and the process actually running again, so
-// the ensure loop re-checks.
+// reference checks the local page table (one mem_ref of virtual time per
+// page, one Svm::reference per page); a miss charges the fault-handler
+// overhead, blocks the process, and lets the memory mapping manager run
+// the coherence protocol.  Access can be revoked between the grant and the
+// process actually running again, so the loop re-checks.  A hit and a
+// fault take the same loop, and the data moves through the frame it
+// returns.
 #pragma once
 
 #include <cstring>
@@ -15,18 +17,36 @@
 
 namespace ivy::proc {
 
-/// Ensures `want` access to the page holding `addr`..`addr+len` (may span
-/// pages).  Must be called from inside a process.
-void ensure_access(SvmAddr addr, std::size_t len, svm::Access want);
+/// Ensures `want` access to every page of `addr`..`addr+len` at once and
+/// returns the frame bytes from `addr` to the end of its page.  Must be
+/// called from inside a process.
+std::span<std::byte> ensure_access(SvmAddr addr, std::size_t len,
+                                   svm::Access want);
+
+/// Ensures `want` access to the page holding `addr` without touching its
+/// frame: a process's first touch of its stack page, whose body runs on
+/// a host stack.  Charges like a one-page ensure_access.
+void claim_access(SvmAddr addr, svm::Access want);
+
+/// Copy of a reference that spans pages: `head` is what ensure_access
+/// returned for it; the rest comes from the frames of the later pages.
+void read_spanning(SvmAddr addr, std::span<const std::byte> head,
+                   std::span<std::byte> out);
+void write_spanning(SvmAddr addr, std::span<std::byte> head,
+                    std::span<const std::byte> in);
 
 /// Typed read at `addr`.  T must be trivially copyable.
 template <typename T>
 [[nodiscard]] T svm_read(SvmAddr addr) {
   static_assert(std::is_trivially_copyable_v<T>);
-  ensure_access(addr, sizeof(T), svm::Access::kRead);
   T value;
-  Scheduler::current_scheduler()->svm().read_bytes(
-      addr, std::as_writable_bytes(std::span(&value, 1)));
+  const std::span<std::byte> head =
+      ensure_access(addr, sizeof(T), svm::Access::kRead);
+  if (head.size() >= sizeof(T)) {
+    std::memcpy(&value, head.data(), sizeof(T));
+  } else {
+    read_spanning(addr, head, std::as_writable_bytes(std::span(&value, 1)));
+  }
   return value;
 }
 
@@ -34,9 +54,13 @@ template <typename T>
 template <typename T>
 void svm_write(SvmAddr addr, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
-  ensure_access(addr, sizeof(T), svm::Access::kWrite);
-  Scheduler::current_scheduler()->svm().write_bytes(
-      addr, std::as_bytes(std::span(&value, 1)));
+  const std::span<std::byte> head =
+      ensure_access(addr, sizeof(T), svm::Access::kWrite);
+  if (head.size() >= sizeof(T)) {
+    std::memcpy(head.data(), &value, sizeof(T));
+  } else {
+    write_spanning(addr, head, std::as_bytes(std::span(&value, 1)));
+  }
 }
 
 /// Charges `units` of application compute to the running process.

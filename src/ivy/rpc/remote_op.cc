@@ -130,6 +130,8 @@ void RemoteOp::reply(const PendingReply& pending, std::any payload,
   // re-executing the operation ("resend replies only when necessary").
   done_cache_.push_back(DoneEntry{key, payload, wire_bytes, pending.kind,
                                   pending.origin, pending.attempt});
+  std::uint64_t& high = done_high_[pending.origin];
+  high = std::max(high, pending.rpc_id);
   while (done_cache_.size() > done_cache_capacity_) evict_done_front();
 
   net::Message msg{.src = self_, .dst = pending.origin, .kind = pending.kind,
@@ -267,16 +269,20 @@ void RemoteOp::handle_request(net::Message&& msg) {
   const std::uint64_t key = dedup_key(msg.origin, msg.rpc_id);
   // Completed before?  Only a retransmission — a higher attempt than the
   // one answered — means the reply was lost; resend the cached reply to
-  // it.  Any other copy trails the one served and is dropped.
-  for (DoneEntry& done : done_cache_) {
-    if (done.key == key) {
+  // it.  Any other copy trails the one served and is dropped.  An id above
+  // every id cached from its origin was never answered: no scan.
+  if (const auto high = done_high_.find(msg.origin);
+      high != done_high_.end() && msg.rpc_id <= high->second) {
+    for (DoneEntry& done : done_cache_) {
+      if (done.key != key) continue;
       if (msg.attempt <= done.attempt) return;
       done.attempt = msg.attempt;
       emit({.kind = EventKind::kReplyResent, .rpc_id = msg.rpc_id,
             .peer = done.origin});
       transmit({.src = self_, .dst = done.origin, .kind = done.kind,
-                .rpc_id = msg.rpc_id, .origin = done.origin, .is_reply = true,
-                .payload = done.payload, .wire_bytes = done.wire_bytes});
+                .rpc_id = msg.rpc_id, .origin = done.origin,
+                .is_reply = true, .payload = done.payload,
+                .wire_bytes = done.wire_bytes});
       return;
     }
   }

@@ -296,6 +296,9 @@ class RemoteOp {
   std::unordered_map<std::uint64_t, bool> in_progress_;
   std::deque<DoneEntry> done_cache_;
   std::size_t done_cache_capacity_ = 1024;
+  /// Highest rpc id ever cached per origin node: a request above it has
+  /// no entry, so it skips the done-cache scan.
+  std::unordered_map<NodeId, std::uint64_t> done_high_;
   /// Highest rpc_id evicted from the done-cache per origin node: a
   /// duplicate below (or at) the watermark *may* be a re-execution of an
   /// evicted entry (exact detection is impossible once the key is gone).

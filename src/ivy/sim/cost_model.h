@@ -36,8 +36,6 @@ struct CostModel {
   Time fault_handler = us(500);
   /// Server-side handling of one protocol request (manager/owner code).
   Time fault_server = us(300);
-  /// Cost of changing a page's protection / mapping.
-  Time map_page = us(100);
 
   // --- Network (shared-medium token ring) -----------------------------
   /// Per-message software + media-access latency (send and receive

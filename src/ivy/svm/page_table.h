@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,7 +38,9 @@ enum class Access : std::uint8_t { kNil = 0, kRead = 1, kWrite = 2 };
   return "?";
 }
 
-/// Shape of the shared virtual address space.
+/// Shape of the shared virtual address space.  The page size is a power
+/// of two (Config::validate; checked wherever a Geometry is accepted), so
+/// page and offset are a shift and a mask.
 struct Geometry {
   std::size_t page_size = 1024;  ///< paper default: 1 KiB
   PageId num_pages = 4096;
@@ -47,10 +50,10 @@ struct Geometry {
   }
   [[nodiscard]] PageId page_of(SvmAddr addr) const {
     IVY_CHECK_LT(addr, size_bytes());
-    return static_cast<PageId>(addr / page_size);
+    return static_cast<PageId>(addr >> std::countr_zero(page_size));
   }
   [[nodiscard]] std::size_t offset_of(SvmAddr addr) const {
-    return static_cast<std::size_t>(addr % page_size);
+    return static_cast<std::size_t>(addr & (page_size - 1));
   }
 };
 
@@ -145,6 +148,8 @@ class PageTable {
   explicit PageTable(const Geometry& geo, NodeId initial_owner, NodeId self)
       : num_pages_(geo.num_pages),
         chunks_((geo.num_pages + kChunkPages - 1) / kChunkPages) {
+    IVY_CHECK_MSG(std::has_single_bit(geo.page_size),
+                  "page size " << geo.page_size << " is not a power of two");
     initial_.prob_owner = initial_owner;
     if (self == initial_owner) {
       // "the probOwner field of every entry on all processors is set to

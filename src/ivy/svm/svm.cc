@@ -98,6 +98,21 @@ void Svm::request_access(PageId page, Access want,
   manager_->start_fault(page, want);
 }
 
+std::byte* Svm::reference(PageId page, Access want) {
+  PageEntry& entry = table_.at(page);
+  if (!satisfies(entry.access, want)) return nullptr;
+  if (entry.grace > 0) consume_grace(page, entry);
+  if (want == Access::kWrite) entry.disk_current = false;
+  return usable_frame(page);
+}
+
+bool Svm::claim(PageId page, Access want) {
+  PageEntry& entry = table_.at(page);
+  if (!satisfies(entry.access, want)) return false;
+  if (entry.grace > 0) consume_grace(page, entry);
+  return true;
+}
+
 void Svm::read_bytes(SvmAddr addr, std::span<std::byte> out) {
   const Geometry& geo = options_.geo;
   std::size_t done = 0;
@@ -226,7 +241,8 @@ void Svm::complete_fault(PageId page) {
   }
   if (satisfied > 0) {
     // Hold deferred remote requests until each satisfied waiter performed
-    // its access (ensure_access consumes the grace); see PageEntry::grace.
+    // its access (Svm::reference consumes the grace); see
+    // PageEntry::grace.
     entry.grace = satisfied;
     // Liveness backstop: if the granted processes never touch the page
     // (e.g. one migrated away first), release the hold after a bounded
@@ -243,9 +259,7 @@ void Svm::complete_fault(PageId page) {
   replay_deferred(page);
 }
 
-void Svm::consume_grace(PageId page) {
-  PageEntry& entry = table_.at(page);
-  if (entry.grace == 0) return;
+void Svm::consume_grace(PageId page, PageEntry& entry) {
   if (--entry.grace == 0 && !entry.fault_in_progress) {
     // Replay as a follow-up event, not synchronously: we are inside the
     // running process's access sequence, and serving a deferred write

@@ -98,7 +98,20 @@ class Svm {
   /// callers must re-check and loop.
   void request_access(PageId page, Access want, std::function<void()> done);
 
-  /// Data plane.  Requires the right already held (checked); may span
+  /// One shared reference by a local process to `page` under `want`:
+  /// checks the right, consumes a pending post-fault grace, clears the
+  /// modify bit (`disk_current`) on a write and touches the frame for
+  /// recency once, all through one page-entry lookup.  Returns the frame,
+  /// or null when the right is missing (the caller faults and retries).
+  [[nodiscard]] std::byte* reference(PageId page, Access want);
+  /// A reference that moves no data (a process's first touch of its stack
+  /// page): checks the right and consumes a pending grace, but takes no
+  /// frame, touches no recency and leaves the modify bit alone.  False
+  /// when the right is missing.
+  [[nodiscard]] bool claim(PageId page, Access want);
+
+  /// Data plane for host and harness callers (processes go through
+  /// reference).  Requires the right already held (checked); may span
   /// pages.
   void read_bytes(SvmAddr addr, std::span<std::byte> out);
   void write_bytes(SvmAddr addr, std::span<const std::byte> in);
@@ -146,11 +159,6 @@ class Svm {
 
   // --- helpers shared by the manager strategies --------------------------
 
-  /// Frame bytes for `page`, materializing a zero page lazily for owned
-  /// never-touched pages.  Requires the page be usable (owner, not on
-  /// disk, or holding a copy).
-  [[nodiscard]] std::byte* usable_frame(PageId page);
-
   /// Starts a disk restore of this node's evicted owned page.  Marks the
   /// page fault-in-progress (deferring remote requests) and completes
   /// after the disk latency.  Requires owned && on_disk && no fault in
@@ -170,11 +178,6 @@ class Svm {
   /// Queues a remote request that cannot be served while this node is
   /// mid-fault (or in post-fault grace) on the page.
   void defer_request(PageId page, net::Message&& msg);
-
-  /// A local process performed an access on a page in post-fault grace;
-  /// when all granted waiters have touched it, deferred remote requests
-  /// replay.  Called by the ensure_access fast path.
-  void consume_grace(PageId page);
 
   /// Replays all deferred remote requests of `page` through the manager.
   void replay_deferred(PageId page);
@@ -241,6 +244,16 @@ class Svm {
   void on_grant_push(net::Message&& msg);
 
  private:
+  /// Frame bytes for `page`, materializing a zero page lazily for owned
+  /// never-touched pages.  Requires the page be usable (owner, not on
+  /// disk, or holding a copy).
+  [[nodiscard]] std::byte* usable_frame(PageId page);
+
+  /// A local process performed an access on `page` while it was in
+  /// post-fault grace; when all granted waiters have touched it, deferred
+  /// remote requests replay.
+  void consume_grace(PageId page, PageEntry& entry);
+
   mem::FramePool::EvictAction on_evict(PageId page,
                                        std::span<const std::byte> bytes);
 

@@ -22,8 +22,6 @@ void Eventcount::acquire() {
   proc::ensure_access(base_, sched->svm().geometry().page_size * pages_,
                       svm::Access::kWrite);
   proc::Scheduler::charge_current(sched->simulator().costs().test_and_set);
-  // Pin the page for the duration of the (non-blocking) manipulation.
-  (void)sched->svm().usable_frame(sched->svm().geometry().page_of(base_));
 }
 
 void Eventcount::init() {

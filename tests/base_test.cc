@@ -4,12 +4,19 @@
 
 #include <set>
 
+#include "ivy/base/check.h"
 #include "ivy/base/rng.h"
 #include "ivy/base/stats.h"
 #include "ivy/base/types.h"
 
 namespace ivy {
 namespace {
+
+TEST(Check, FailureNamesTheConditionAndOperands) {
+  const int have = 3;
+  EXPECT_DEATH(IVY_CHECK_LT(have, 1),
+               "IVY_CHECK failed at .*: \\(have\\) < \\(1\\) — lhs=3 rhs=1");
+}
 
 TEST(Rng, SameSeedSameStream) {
   Rng a(42), b(42);

@@ -406,6 +406,13 @@ TEST(SvmGeometry, PageAndOffsetMath) {
   EXPECT_EQ(geo.page_of(1023), 0u);
   EXPECT_EQ(geo.page_of(1024), 1u);
   EXPECT_EQ(geo.offset_of(1030), 6u);
+  // Shift and mask agree with division at another power of two.
+  Geometry small{256, 4096};
+  for (SvmAddr addr : {SvmAddr{0}, SvmAddr{255}, SvmAddr{256}, SvmAddr{70001},
+                       small.size_bytes() - 1}) {
+    EXPECT_EQ(small.page_of(addr), addr / 256) << addr;
+    EXPECT_EQ(small.offset_of(addr), addr % 256) << addr;
+  }
 }
 
 TEST(SvmProbOwner, DynamicChainsCompressTowardOwner) {
