@@ -20,9 +20,6 @@ namespace ivy::net {
 enum class MsgKind : std::uint16_t {
   kInvalid = 0,
 
-  // rpc-internal
-  kRpcReply = 1,
-
   // svm coherence protocol
   kReadFault = 0x100,       ///< requester → manager/probOwner: want read copy
   kWriteFault = 0x101,      ///< requester → manager/probOwner: want ownership
@@ -50,7 +47,6 @@ struct MsgKindName {
 };
 inline constexpr MsgKindName kMsgKindNames[] = {
     {MsgKind::kInvalid, "invalid"},
-    {MsgKind::kRpcReply, "rpc_reply"},
     {MsgKind::kReadFault, "read_fault"},
     {MsgKind::kWriteFault, "write_fault"},
     {MsgKind::kInvalidate, "invalidate"},

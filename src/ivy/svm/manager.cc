@@ -173,27 +173,18 @@ void Manager::serve_write(net::Message&& msg, PageId page) {
       payload.has_copy && entry.copyset.contains(msg.origin) &&
       payload.copy_version == entry.version;
   ++entry.version;
-  GrantPayload grant;
-  grant.page = page;
-  grant.version = entry.version;
-  grant.write_grant = true;
-  grant.copyset = entry.copyset;
-  grant.copyset.remove(msg.origin);
-  // A valid copy makes it an in-place upgrade: only the 32-byte header
-  // travels.
-  if (!requester_copy_valid) grant.body = svm_.snapshot(page);
-
   // Two-phase relinquish: keep the token and the data until the new
   // owner's kGrantAck; requests for the page are held meanwhile, and pass
   // to the new owner once the grant is on the ring (see
-  // on_fault_request).
+  // on_fault_request).  A valid copy makes it an in-place upgrade: only
+  // the 32-byte header travels.
   note_write_grant(page, msg.origin);
+  const GrantPayload grant = svm_.begin_pending_transfer(
+      page, msg.origin, entry.version, requester_copy_valid);
   svm_.rpc().reply_to(msg, grant, grant.wire_bytes(),
                       [this, page, version = entry.version] {
                         svm_.note_grant_sent(page, version);
                       });
-  svm_.begin_pending_transfer(page, msg.origin, entry.version,
-                              requester_copy_valid);
   // A bodyless grant still puts the held image at stake: the requester's
   // surviving copy must match it.
   svm_.emit({.kind = EventKind::kWriteServed, .page = page, .peer = msg.origin,
@@ -205,90 +196,32 @@ void Manager::on_grant(net::Message&& reply) {
   const auto grant = std::any_cast<GrantPayload>(reply.payload);
   const PageId page = grant.page;
   PageEntry& entry = svm_.table().at(page);
-  if (!entry.fault_in_progress || entry.fault_level == Access::kNil) {
-    // No requester fault is waiting for this grant (the fault completed
-    // through another path, or the fault-in-progress marker belongs to a
-    // disk restore / pending outbound transfer).  If the grant carries
-    // the ownership token, absorb or abort it — never drop it.
-    svm_.absorb_grant(grant, reply.src);
-    return;
-  }
-
-  if (!grant.write_grant) {
-    if (grant.version < entry.version) {
-      // The copy was invalidated while the (retransmitted) grant was in
-      // flight; the data is stale.  Retry the fault.
-      IVY_DEBUG() << "node " << svm_.self() << " rejects stale read grant of"
-                  << " page " << page;
-      retry_fault(page, net::MsgKind::kReadFault);
-      return;
-    }
-    if (grant.body == nullptr && !svm_.frames().resident(page)) {
-      // Bodyless grant assuming a local copy we no longer hold (it was
-      // invalidated or evicted while the request was in flight — the
-      // server judged a stale has_copy hint).  The data never travelled;
-      // re-request it.
-      IVY_DEBUG() << "node " << svm_.self() << " lacks the copy a bodyless"
-                  << " read grant of page " << page << " assumed; retrying";
-      retry_fault(page, net::MsgKind::kReadFault);
-      return;
-    }
-    svm_.install_body(page, grant.body);
-    entry.access = Access::kRead;
-    entry.version = grant.version;
-    entry.prob_owner = reply.src;  // we now know the owner
-    svm_.emit({.kind = EventKind::kCopyReceived, .page = page,
-               .peer = reply.src, .version = grant.version,
-               .body = Body::kShipped});
-    svm_.complete_fault(page);
-    return;
-  }
-
-  if (grant.version <= entry.version) {
-    if (entry.accepted_unconfirmed(grant.version)) {
-      // Duplicate of a grant this node already accepted (the old owner
-      // re-sent it under a fresh rpc id before our ack landed).  Re-ack
-      // the acceptance — a reject could overtake the original accept and
-      // abort a confirmed transfer, leaving two owners.
-      svm_.send_grant_ack(reply.src, page, grant.version, /*accept=*/true);
+  // complete_fault cancels the fault's request, so a reply that outlives
+  // its fault reaches the orphan handler, never this callback.
+  IVY_CHECK(entry.fault_in_progress && entry.fault_level != Access::kNil);
+  if (grant.write_grant) {
+    // One rule judges every write grant; one not adopted is retried.
+    if (!svm_.absorb_grant(grant, reply.src, /*answers_fault=*/true)) {
       retry_fault(page, net::MsgKind::kWriteFault);
-      return;
     }
-    // Stale ownership era.  Abort the transfer (the old owner resumes)
-    // and chase the live owner again.
-    IVY_DEBUG() << "node " << svm_.self() << " rejects stale write grant of"
-                << " page " << page << " v" << grant.version << " from "
-                << reply.src;
-    svm_.send_grant_ack(reply.src, page, grant.version, /*accept=*/false);
-    retry_fault(page, net::MsgKind::kWriteFault);
     return;
   }
-  if (grant.body == nullptr && !svm_.frames().resident(page)) {
-    // Bodyless ownership grant, but the local copy it assumed is gone
-    // (invalidated or evicted mid-flight).  Abort the transfer — the old
-    // owner still holds the data — and re-request; the retry advertises
-    // has_copy=false, so the next grant ships the body.
-    IVY_DEBUG() << "node " << svm_.self() << " lacks the copy a bodyless"
-                << " write grant of page " << page << " assumed; retrying";
-    svm_.send_grant_ack(reply.src, page, grant.version, /*accept=*/false);
-    retry_fault(page, net::MsgKind::kWriteFault);
+  if (grant.version < entry.version) {
+    // The copy was invalidated while the (retransmitted) grant was in
+    // flight; the data is stale.  Retry the fault.
+    IVY_DEBUG() << "node " << svm_.self() << " rejects stale read grant of"
+                << " page " << page;
+    retry_fault(page, net::MsgKind::kReadFault);
     return;
   }
-  IVY_DEBUG() << "node " << svm_.self() << " accepts grant of page " << page
-              << " v" << grant.version << " from " << reply.src;
-  svm_.send_grant_ack(reply.src, page, grant.version, /*accept=*/true);
-  entry.owned = true;
-  entry.version = grant.version;
-  // Merge rather than overwrite: with distributed copysets this node may
-  // itself have served readers, who must be invalidated with the rest.
-  entry.copyset |= grant.copyset;
-  entry.copyset.remove(svm_.self());
-  entry.prob_owner = svm_.self();
   svm_.install_body(page, grant.body);
-  svm_.emit({.kind = EventKind::kOwnershipGained, .page = page,
+  entry.access = Access::kRead;
+  entry.version = grant.version;
+  entry.prob_owner = reply.src;  // we now know the owner
+  svm_.emit({.kind = EventKind::kCopyReceived, .page = page,
              .peer = reply.src, .version = grant.version,
-             .body = grant.body != nullptr ? Body::kShipped : Body::kElided});
-  svm_.invalidate_for_write(page);
+             .body = Body::kShipped});
+  svm_.complete_fault(page);
 }
 
 void Manager::note_write_grant(PageId, NodeId) {}

@@ -61,7 +61,8 @@ class Manager {
   /// ownership and access, reply with page + copyset.
   void serve_write(net::Message&& msg, PageId page);
 
-  /// Requester side: a grant reply arrived.
+  /// Requester side: the reply to this node's waiting fault.  Installs a
+  /// read copy, or hands a write grant to Svm::absorb_grant.
   void on_grant(net::Message&& reply);
 
   /// Owner-side local write upgrade (owner already, needs invalidation

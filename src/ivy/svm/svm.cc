@@ -388,7 +388,8 @@ void Svm::on_invalidate(net::Message&& msg) {
   rpc_.reply_to(msg, AckPayload{payload.page}, AckPayload::kWireBytes);
 }
 
-bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
+bool Svm::absorb_grant(const GrantPayload& grant, NodeId from,
+                       bool answers_fault) {
   if (!grant.write_grant) return false;  // read copies carry no resource
   PageEntry& entry = table_.at(grant.page);
   if (entry.accepted_unconfirmed(grant.version)) {
@@ -399,7 +400,7 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
     IVY_DEBUG() << "node " << self_ << " re-acks accepted grant of page "
                 << grant.page << " v" << grant.version;
     send_grant_ack(from, grant.page, grant.version, /*accept=*/true);
-    return true;
+    return false;
   }
   if (pending_transfers_.contains(grant.page) ||
       (entry.fault_in_progress && entry.fault_level == Access::kNil) ||
@@ -408,13 +409,13 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
     // Stale, colliding with a protocol-internal state (outbound transfer
     // or disk restore), or bodyless without a surviving local copy:
     // abort the transfer — the old owner still holds the page and data.
-    IVY_DEBUG() << "node " << self_ << " rejects orphan grant of page "
+    IVY_DEBUG() << "node " << self_ << " rejects grant of page "
                 << grant.page << " v" << grant.version << " from " << from;
     send_grant_ack(from, grant.page, grant.version, /*accept=*/false);
     return false;
   }
-  IVY_DEBUG() << "node " << self_ << " absorbs orphan grant of page "
-              << grant.page << " v" << grant.version << " from " << from;
+  IVY_DEBUG() << "node " << self_ << " adopts grant of page " << grant.page
+              << " v" << grant.version << " from " << from;
   send_grant_ack(from, grant.page, grant.version, /*accept=*/true);
   entry.owned = true;
   entry.version = grant.version;
@@ -422,12 +423,18 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
   entry.copyset.remove(self_);
   entry.prob_owner = self_;
   drop_disk_image(grant.page);
-  if (grant.body != nullptr) install_body(grant.page, grant.body);
-  entry.access = entry.copyset.empty() ? Access::kWrite : Access::kRead;
+  install_body(grant.page, grant.body);
+  // The answer to this node's own write fault takes write access only
+  // once its invalidation round ends (invalidate_for_write).
+  if (!answers_fault) {
+    entry.access = entry.copyset.empty() ? Access::kWrite : Access::kRead;
+  }
   emit({.kind = EventKind::kOwnershipGained, .page = grant.page, .peer = from,
         .version = grant.version,
         .body = grant.body != nullptr ? Body::kShipped : Body::kElided});
-  if (entry.access != Access::kWrite) {
+  if (answers_fault) {
+    invalidate_for_write(grant.page);
+  } else if (entry.access != Access::kWrite) {
     // Invalidate the inherited readers even without local write intent:
     // the grant's version was bumped at detach, so surviving copies from
     // the previous ownership era would sit below the owner's version
@@ -451,22 +458,40 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from) {
   return true;
 }
 
-void Svm::begin_pending_transfer(PageId page, NodeId to,
-                                 std::uint64_t version, bool bodyless) {
+GrantPayload Svm::begin_pending_transfer(PageId page, NodeId to,
+                                         std::uint64_t version,
+                                         bool bodyless) {
   PageEntry& entry = table_.at(page);
   IVY_CHECK(entry.owned);
   IVY_CHECK(!entry.fault_in_progress);
+  const PendingTransfer& pending = pending_transfers_[page] = PendingTransfer{
+      .to = to, .version = version, .bodyless = bodyless};
+  GrantPayload grant = write_grant(page, pending);
   // Hold the token (and the data) until the new owner confirms; defer
   // every request meanwhile via the fault-in-progress machinery.
   entry.access = Access::kNil;
   entry.fault_in_progress = true;
   entry.fault_level = Access::kNil;
   entry.fault_start = sim_.now();
-  pending_transfers_[page] = PendingTransfer{
-      .to = to, .version = version, .bodyless = bodyless};
   IVY_DEBUG() << "node " << self_ << " holds page " << page
               << " pending transfer to " << to << " v" << version;
   arm_reoffer(page, version);
+  return grant;
+}
+
+GrantPayload Svm::write_grant(PageId page, const PendingTransfer& pending) {
+  GrantPayload grant;
+  grant.page = page;
+  grant.version = pending.version;
+  grant.write_grant = true;
+  grant.copyset = table_.at(page).copyset;
+  grant.copyset.remove(pending.to);
+  // A bodyless grant stays bodyless on every resend and re-offer: the
+  // target's read copy is pinned by its outstanding fault (busy pages
+  // never evict), and absorb_grant rejects the grant if the copy is
+  // somehow gone, so the retry re-faults with has_copy=false.
+  if (!pending.bodyless) grant.body = snapshot(page);
+  return grant;
 }
 
 void Svm::note_grant_sent(PageId page, std::uint64_t version) {
@@ -504,18 +529,7 @@ void Svm::push_pending_grant(PageId page) {
   auto it = pending_transfers_.find(page);
   IVY_CHECK(it != pending_transfers_.end());
   PendingTransfer& pending = it->second;
-  GrantPayload grant;
-  grant.page = page;
-  grant.version = pending.version;
-  grant.write_grant = true;
-  grant.copyset = table_.at(page).copyset;
-  grant.copyset.remove(pending.to);
-  if (!pending.bodyless) {
-    // Bodyless grants stay bodyless on re-offer: the target's read copy
-    // is pinned by its outstanding fault (busy pages never evict), and
-    // absorb_grant rejects the offer if the copy is somehow gone.
-    grant.body = snapshot(page);
-  }
+  const GrantPayload grant = write_grant(page, pending);
   pending.push_in_flight = true;
   emit({.kind = EventKind::kGrantReoffered, .page = page, .peer = pending.to,
         .version = pending.version});
@@ -622,16 +636,8 @@ bool Svm::resend_pending_grant(const net::Message& msg) {
     return false;
   }
   // The grant (or its cached resend) was lost; rebuild it from the held
-  // state.  A bodyless grant stays bodyless: the requester's copy is
-  // pinned by its outstanding fault, and its retry path re-faults with
-  // has_copy=false if the copy is gone, which re-serves with the body.
-  GrantPayload grant;
-  grant.page = payload.page;
-  grant.version = it->second.version;
-  grant.write_grant = true;
-  grant.copyset = table_.at(payload.page).copyset;
-  grant.copyset.remove(msg.origin);
-  if (!it->second.bodyless) grant.body = snapshot(payload.page);
+  // state.
+  const GrantPayload grant = write_grant(payload.page, it->second);
   IVY_DEBUG() << "node " << self_ << " resends pending grant of page "
               << payload.page << " v" << it->second.version << " to "
               << msg.origin << (it->second.bodyless ? " (bodyless)" : "");

@@ -194,23 +194,26 @@ class Svm {
   /// Invalidation server (wired to kInvalidate / kInvalidateBcast).
   void on_invalidate(net::Message&& msg);
 
-  /// Absorbs a write grant that no longer matches an outstanding fault (a
-  /// duplicate request double-served after a retransmission).  Ownership
-  /// is a conserved token: the addressee adopts the grant when it is
-  /// newer than local knowledge, and acknowledges (or aborts) the
-  /// two-phase transfer either way.  Returns true if absorbed.
-  bool absorb_grant(const GrantPayload& grant, NodeId from);
+  /// The one rule for every write grant this node receives: the reply to
+  /// its own write fault (`answers_fault`), an orphan reply that outlived
+  /// its request, or a kGrantPush re-offer.  Ownership is a conserved
+  /// token: a duplicate of an accepted grant is re-acked, a stale,
+  /// colliding or bodyless-without-copy grant is rejected, and any other
+  /// is adopted and acked.  The answer to a fault then takes write access
+  /// through invalidate_for_write.  Returns true only on adoption.
+  bool absorb_grant(const GrantPayload& grant, NodeId from,
+                    bool answers_fault = false);
 
   // --- two-phase ownership transfer ---------------------------------------
 
-  /// Old-owner side: marks `page` as granted-to-`to` at `version` and
-  /// holds all requests until the grant is on the ring
-  /// (note_grant_sent).  Called by Manager::serve_write after the grant
-  /// reply is sent.  `bodyless` records that the grant elided the page
-  /// body (the requester holds a valid copy), so re-offers and resends
-  /// elide it too.
-  void begin_pending_transfer(PageId page, NodeId to, std::uint64_t version,
-                              bool bodyless = false);
+  /// Old-owner side: marks `page` as granted-to-`to` at `version`, holds
+  /// all requests until the grant is on the ring (note_grant_sent) and
+  /// returns the grant for Manager::serve_write to send.  `bodyless`
+  /// records that the requester holds a valid copy, so this grant and
+  /// every resend and re-offer of it elide the page body.
+  [[nodiscard]] GrantPayload begin_pending_transfer(PageId page, NodeId to,
+                                                    std::uint64_t version,
+                                                    bool bodyless);
 
   /// Old-owner side: the grant of the pending transfer of `page` at
   /// `version` went on the ring (wired to the grant reply's on-sent
@@ -280,6 +283,12 @@ class Svm {
     /// The grant frame is on the ring (see granted_to).
     bool grant_sent = false;
   };
+
+  /// The write grant of a pending transfer of `page`: its version, the
+  /// copyset minus the target, and the body unless bodyless.  Every send
+  /// of the grant (serve, resend, re-offer) is built here.
+  [[nodiscard]] GrantPayload write_grant(PageId page,
+                                         const PendingTransfer& pending);
 
   /// Old-owner liveness for the two-phase transfer: the grant travels as
   /// an rpc *reply*, which is only re-driven by the requester's

@@ -25,6 +25,12 @@
 //     against 865 completed transfers, because a grant was counted when
 //     served and again when its receiver absorbed it.  It now counts
 //     each completed transfer once, from the kOwnershipGained event.
+//   - fixed distributed, seed 118: node 1 adopts an orphan copy of a
+//     write grant of page 516 while its own write fault's request is
+//     still out.  That request's reply, the same grant, arrives after
+//     the accept was confirmed and is rejected as stale.  The retried
+//     fault finds the page owned and finishes locally: the one case that
+//     reaches retry_fault's already-owned branch.
 // Seeds 3, 15 and 18 of the broadcast point stay in the grid as well.
 // Every case also holds the counter to the transfers the trace shows
 // completed.
@@ -93,7 +99,8 @@ INSTANTIATE_TEST_SUITE_P(
                     Case{svm::ManagerKind::kBroadcast, 6},
                     Case{svm::ManagerKind::kBroadcast, 15},
                     Case{svm::ManagerKind::kBroadcast, 18},
-                    Case{svm::ManagerKind::kFixedDistributed, 1}),
+                    Case{svm::ManagerKind::kFixedDistributed, 1},
+                    Case{svm::ManagerKind::kFixedDistributed, 118}),
     [](const testing::TestParamInfo<Case>& info) {
       return std::string(svm::to_string(info.param.manager)) + "_seed" +
              std::to_string(info.param.fault_seed);

@@ -100,6 +100,8 @@ TEST(ParseFaultSpec, EveryMessageKindNameParsesBack) {
   std::string error;
   EXPECT_TRUE(parse_fault_spec("drop=0.1/kind=grant_push", &spec, &error));
   EXPECT_FALSE(parse_fault_spec("drop=0.1/kind=page_out", &spec, &error));
+  // A reply carries its request's kind; no kind names replies alone.
+  EXPECT_FALSE(parse_fault_spec("drop=0.1/kind=rpc_reply", &spec, &error));
 }
 
 TEST(ParseFaultSpec, EmptyStringIsNoFaults) {
@@ -209,12 +211,12 @@ TEST_F(FaultPlaneTest, CorruptAndDelayPlans) {
 }
 
 TEST_F(FaultPlaneTest, DuplicateUsesRuleSpacing) {
-  FaultPlane plane = make_plane("dup=1/kind=rpc_reply");
-  net::Message reply = make_msg(2, net::MsgKind::kRpcReply);
-  const auto plan = plane.plan_delivery(reply, 0);
+  FaultPlane plane = make_plane("dup=1/kind=grant_ack");
+  net::Message ack = make_msg(2, net::MsgKind::kGrantAck);
+  const auto plan = plane.plan_delivery(ack, 0);
   EXPECT_TRUE(plan.duplicate);
   EXPECT_GT(plan.duplicate_delay, 0);
-  // Kind filter: a non-reply is untouched.
+  // Kind filter: another kind is untouched.
   const auto other =
       plane.plan_delivery(make_msg(2, net::MsgKind::kReadFault), 0);
   EXPECT_FALSE(other.duplicate);
