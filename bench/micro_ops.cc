@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/common.h"
+#include "ivy/sim/fiber.h"
 
 namespace ivy::bench {
 namespace {
@@ -40,6 +41,21 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// One resume+yield round trip of a fiber, the host cost of every process
+// dispatch; no simulated machine takes part.
+void BM_FiberSwitch(benchmark::State& state) {
+  bool stop = false;
+  sim::Fiber fiber([&stop] {
+    while (!stop) sim::Fiber::yield(sim::YieldReason::kQuantum);
+  });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fiber.resume());
+  }
+  stop = true;
+  fiber.resume();
+}
+BENCHMARK(BM_FiberSwitch);
 
 void BM_LocalAccess(benchmark::State& state) {
   Time virtual_per_op = 0;

@@ -73,8 +73,7 @@ ProcId Scheduler::spawn(std::function<void()> body, bool migratable) {
       [stack_touch, body = std::move(body)] {
         claim_access(stack_touch, svm::Access::kWrite);
         body();
-      },
-      config_.fiber_stack_bytes);
+      });
 
   ++proc_count_;
   ++live_.live;

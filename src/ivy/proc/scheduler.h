@@ -33,8 +33,6 @@ struct SchedConfig {
   bool load_balancing = false;
   /// SVM pages per process stack.
   std::uint32_t stack_pages = 4;
-  /// Host stack bytes per fiber.
-  std::size_t fiber_stack_bytes = sim::Fiber::kDefaultStackBytes;
 };
 
 /// One record per scheduling, migration or synchronization transition.

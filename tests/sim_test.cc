@@ -1,12 +1,38 @@
 // Unit tests for the discrete-event engine and fibers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "ivy/sim/cost_model.h"
 #include "ivy/sim/fiber.h"
 #include "ivy/sim/simulator.h"
 
 namespace ivy::sim {
 namespace {
+
+// Resumes `fiber` from `depth` calls further down the host stack.
+// Returns the yield reason plus one per level the return unwound.
+[[gnu::noinline]] int resume_at_depth(Fiber& fiber, int depth) {
+  if (depth == 0) return static_cast<int>(fiber.resume());
+  volatile int here = depth;
+  return resume_at_depth(fiber, depth - 1) + 1 + (here - depth);
+}
+
+// The host stack depth of the caller: the frame address of a fresh call.
+[[gnu::noinline]] std::uintptr_t stack_depth_probe() {
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+}
+
+// Recurses until the stack runs out; the depth bound is never reached.
+// Passing `pad` down keeps every frame live, so no tail call folds them.
+[[gnu::noinline]] int recurse_forever(const volatile char* caller,
+                                      int depth) {
+  volatile char pad[256];
+  pad[0] = static_cast<char>(caller[0] + 1);
+  if (depth == std::numeric_limits<int>::max()) return pad[0];
+  return recurse_forever(pad, depth + 1) + pad[0];
+}
 
 TEST(Simulator, EventsRunInTimeOrder) {
   Simulator sim;
@@ -159,6 +185,64 @@ TEST(Fiber, DeepStackUsage) {
   Fiber fiber([&] { result = rec(200); });
   fiber.resume();
   EXPECT_EQ(result, 200);
+}
+
+TEST(Fiber, ResumesFromAnyHostStackDepth) {
+  // A migrated process is dispatched by another node's scheduler, from
+  // another host stack depth than the one that last resumed it.
+  constexpr int kDeep = 64;
+  int steps = 0;
+  Fiber fiber([&] {
+    for (int i = 0; i < 6; ++i) {
+      ++steps;
+      Fiber::yield(YieldReason::kQuantum);
+    }
+  });
+  for (int i = 0; i < 6; ++i) {
+    const int depth = i % 2 == 0 ? 0 : kDeep;
+    EXPECT_EQ(resume_at_depth(fiber, depth),
+              static_cast<int>(YieldReason::kQuantum) + depth);
+    EXPECT_EQ(steps, i + 1);
+  }
+  EXPECT_EQ(resume_at_depth(fiber, kDeep),
+            static_cast<int>(YieldReason::kFinished) + kDeep);
+  EXPECT_TRUE(fiber.finished());
+}
+
+TEST(Fiber, ManyYieldsKeepHostStackFlat) {
+  constexpr int kYields = 100000;
+  std::uintptr_t fiber_site = 0;
+  int fiber_moves = 0;
+  Fiber fiber([&] {
+    for (int i = 0; i < kYields; ++i) {
+      Fiber::yield(YieldReason::kQuantum);
+      const std::uintptr_t site = stack_depth_probe();
+      if (fiber_site != 0 && site != fiber_site) ++fiber_moves;
+      fiber_site = site;
+    }
+  });
+  std::uintptr_t resumer_site = 0;
+  int resumer_moves = 0;
+  int resumes = 0;
+  while (fiber.resume() != YieldReason::kFinished) {
+    ++resumes;
+    const std::uintptr_t site = stack_depth_probe();
+    if (resumer_site != 0 && site != resumer_site) ++resumer_moves;
+    resumer_site = site;
+  }
+  EXPECT_EQ(resumes, kYields);
+  EXPECT_EQ(fiber_moves, 0);
+  EXPECT_EQ(resumer_moves, 0);
+}
+
+TEST(FiberDeathTest, UnboundedRecursionHitsTheGuardPage) {
+  EXPECT_DEATH(
+      {
+        const volatile char seed = 0;
+        Fiber fiber([&] { recurse_forever(&seed, 0); });
+        fiber.resume();
+      },
+      "");
 }
 
 }  // namespace
