@@ -7,6 +7,7 @@
 // publish: local reference, remote read/write fault, eventcount ops,
 // remote-operation round trip, allocation.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include "bench/common.h"
 #include "ivy/sim/fiber.h"
@@ -56,6 +57,30 @@ void BM_FiberSwitch(benchmark::State& state) {
   fiber.resume();
 }
 BENCHMARK(BM_FiberSwitch);
+
+// Building the ivy-bench/perfbench machine (N=8, 24 MiB heap) under one
+// manager: the set-up every benchmark point pays before its first event.
+// heap_kb is the malloc heap the built machine holds (glibc mallinfo2,
+// mmapped blocks included).
+void BM_RuntimeConstruct(benchmark::State& state) {
+  Config cfg = base_config(8);
+  cfg.manager = static_cast<svm::ManagerKind>(state.range(0));
+  state.SetLabel(svm::to_string(cfg.manager));
+  const auto heap_bytes = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return static_cast<double>(mi.uordblks + mi.hblkhd);
+  };
+  const double before = heap_bytes();
+  {
+    Runtime rt(cfg);
+    state.counters["heap_kb"] = (heap_bytes() - before) / 1024.0;
+  }
+  for (auto _ : state) {
+    Runtime rt(cfg);
+    benchmark::DoNotOptimize(&rt);
+  }
+}
+BENCHMARK(BM_RuntimeConstruct)->DenseRange(0, 3);
 
 void BM_LocalAccess(benchmark::State& state) {
   Time virtual_per_op = 0;

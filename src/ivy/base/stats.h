@@ -43,7 +43,7 @@ enum class Counter : std::size_t {
   kRpcFailures,         ///< requests failed terminally (retransmit cap hit)
   kGrantReoffers,       ///< unacked ownership grants re-offered by the old owner
   kFaultsInjected,      ///< frames the fault plane dropped/dup'd/delayed/corrupted
-  kChecksumDrops,       ///< frames discarded by receiver checksum verify
+  kChecksumDrops,       ///< corrupted frames their receiver discarded
   kDoneCacheEvictions,  ///< cached replies evicted from the rpc done-cache
   kDupReexecutions,     ///< duplicate requests re-executed after eviction
   kReplyResends,        ///< cached replies resent to a retransmitted request

@@ -11,7 +11,7 @@
 //
 //   drop=P          lose a matching delivery with probability P
 //   dup=P           deliver a matching frame twice
-//   corrupt=P       damage the frame checksum (receiver drops it)
+//   corrupt=P       damage the frame (its receiver discards it)
 //   delay=DUR@P     add DUR of extra delivery latency with probability P
 //   partition=A-B:DUR@t=START
 //                   nodes A and B cannot exchange frames during

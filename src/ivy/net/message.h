@@ -66,8 +66,7 @@ struct Message {
   NodeId src = kNoNode;
   NodeId dst = kNoNode;  ///< kBroadcast / kMulticast for one-frame fan-out
 
-  /// Stations addressed by a kMulticast frame (ignored otherwise).  Part
-  /// of the frame header, so it is checksummed.
+  /// Stations addressed by a kMulticast frame (ignored otherwise).
   NodeSet mcast{};
   MsgKind kind = MsgKind::kInvalid;
 
@@ -93,47 +92,6 @@ struct Message {
   /// Piggybacked scheduling hint: sender's current process count, as in
   /// the paper's passive load-balancing scheme.
   std::uint8_t load_hint = 0;
-
-  /// Frame check sequence, sealed by the ring at transmit time and
-  /// verified at delivery.  A corrupted frame fails verification and is
-  /// dropped (corruption becomes loss), exactly as a real ring discards
-  /// frames with a bad FCS.
-  std::uint64_t checksum = 0;
 };
-
-/// FNV-1a over the frame header.  `dst` is deliberately excluded: the
-/// ring rewrites it per recipient when fanning out a broadcast, and a
-/// single frame on the wire carries a single checksum.  The payload is a
-/// host-side std::any (serialization is modeled, not performed), so the
-/// header fields are the checksummed content.
-[[nodiscard]] constexpr std::uint64_t message_checksum(const Message& m) {
-  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  std::uint64_t h = kOffset;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= kPrime;
-    }
-  };
-  mix(m.src);
-  mix(m.mcast.raw());
-  mix(static_cast<std::uint64_t>(m.kind));
-  mix(m.rpc_id);
-  mix(m.origin);
-  mix(m.is_reply ? 1 : 0);
-  mix(m.attempt);
-  mix(m.wire_bytes);
-  mix(m.load_hint);
-  return h;
-}
-
-/// Stamps the frame check sequence (sender side).
-constexpr void seal_message(Message& m) { m.checksum = message_checksum(m); }
-
-/// Receiver-side verification.
-[[nodiscard]] constexpr bool message_intact(const Message& m) {
-  return m.checksum == message_checksum(m);
-}
 
 }  // namespace ivy::net

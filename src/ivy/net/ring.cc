@@ -53,7 +53,6 @@ void Ring::send(Message msg) {
     return;  // frame lost after occupying the medium
   }
 
-  seal_message(msg);
   if (broadcast) {
     // The frame circulates the ring; every other station copies it.
     // Ring time was charged exactly once above: per-recipient fault
@@ -92,28 +91,30 @@ void Ring::deliver_planned(Time arrival, NodeId dst, const Message& msg) {
                 << "->" << dst;
     return;  // lost after occupying the medium, like a real dropped frame
   }
-  Message copy = msg;
-  if (plan.corrupt) copy.checksum = ~copy.checksum;  // damaged in flight
-  if (plan.duplicate) {
-    deliver_at(arrival + plan.extra_delay + plan.duplicate_delay, dst, copy);
-  }
-  deliver_at(arrival + plan.extra_delay, dst, std::move(copy));
+  const auto arrive = [&](Time when) {
+    if (!plan.corrupt) {
+      deliver_at(when, dst, msg);
+      return;
+    }
+    // Damaged in flight: the station's frame check fails and it discards
+    // the frame on arrival, so corruption degrades to loss and the
+    // retransmission protocol recovers.  Charged to the receiver, where
+    // the check runs; each copy of a duplicated frame fails its own.
+    sim_.schedule_at(when, [this, dst, src = msg.src, kind = msg.kind] {
+      emit({.kind = EventKind::kChecksumDrop, .node = dst, .peer = src,
+            .msg = kind});
+      IVY_DEBUG() << "checksum drop " << to_string(kind) << " " << src
+                  << "->" << dst;
+    });
+  };
+  if (plan.duplicate) arrive(arrival + plan.extra_delay + plan.duplicate_delay);
+  arrive(arrival + plan.extra_delay);
 }
 
 void Ring::deliver_at(Time when, NodeId dst, Message msg) {
   msg.dst = dst;
   sim_.schedule_at(when, [this, dst, m = std::move(msg)]() mutable {
     IVY_CHECK_MSG(handlers_[dst] != nullptr, "no handler for node " << dst);
-    if (!message_intact(m)) {
-      // Bad frame check sequence: the station discards the frame, so
-      // corruption degrades to loss and the retransmission protocol
-      // recovers.  Charged to the receiver, where the check runs.
-      emit({.kind = EventKind::kChecksumDrop, .node = dst, .peer = m.src,
-            .msg = m.kind});
-      IVY_DEBUG() << "checksum drop " << to_string(m.kind) << " " << m.src
-                  << "->" << dst;
-      return;
-    }
     IVY_TRACE() << "deliver " << to_string(m.kind) << " " << m.src << "->"
                 << dst << " rpc=" << m.rpc_id;
     handlers_[dst](std::move(m));

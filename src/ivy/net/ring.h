@@ -13,8 +13,8 @@
 // any message after it consumed ring time (as a real lost frame would).
 // The richer FaultHook interface (implemented by ivy::fault::FaultPlane)
 // plans a per-recipient delivery outcome: drop, duplicate, extra delay
-// (reordering), or bit corruption; the ring applies the mechanics and
-// verifies the frame checksum at delivery.
+// (reordering), or corruption; the ring applies the mechanics, and a
+// corrupted frame is discarded by its receiver on arrival.
 #pragma once
 
 #include <functional>
@@ -36,7 +36,7 @@ class FaultHook {
 
   struct Plan {
     bool drop = false;       ///< frame lost for this recipient
-    bool corrupt = false;    ///< checksum damaged; receiver verify drops it
+    bool corrupt = false;    ///< damaged; the receiver discards it
     bool duplicate = false;  ///< a second copy arrives duplicate_delay later
     Time extra_delay = 0;    ///< added to the arrival (reorders traffic)
     Time duplicate_delay = 0;

@@ -4,11 +4,13 @@
 // (moving) owner per page; they differ only in how a faulting processor
 // *locates* the owner:
 //
-//   - improved centralized manager: ask the manager node, which keeps an
-//     owner map and forwards the request; the owner answers directly and
-//     keeps the copyset, so no confirmation to the manager is needed.
+//   - improved centralized manager: ask the manager node, which keeps the
+//     owner map in its page table and forwards the request; the owner
+//     answers directly and keeps the copyset, so no confirmation to the
+//     manager is needed.
 //   - fixed distributed manager: identical, but the manager of page p is
-//     H(p) = p mod N, spreading the bottleneck.
+//     H(p) = p mod N, spreading the bottleneck (and the map: each node
+//     holds the records of its own pages only).
 //   - dynamic distributed manager: no managers; each node chases its
 //     probOwner hint, and hints are compressed as requests flow.
 //   - broadcast manager: every fault is a ring broadcast; the owner
@@ -116,14 +118,17 @@ class Manager {
 
 /// Owner-map manager: the improved centralized manager and the fixed
 /// distributed manager, which differ only in manager_of(p).  The manager
-/// of p keeps owner[p]; on a write fault it forwards the request and
-/// eagerly records the requester as the new owner, so no confirmation
-/// round-trip exists.
+/// of p keeps owner[p] and the owner it replaced in its own PageEntry
+/// (map_owner, map_prev), so the map lives in the page-table chunks the
+/// run touches and building a node allocates nothing per page.  On a
+/// write fault the manager forwards the request and eagerly records the
+/// requester as the new owner, so no confirmation round-trip exists.
 class OwnerMapManager final : public Manager {
  public:
   /// `distributed`: manager_of(p) = H(p) = p mod N (fixed distributed
   /// manager); otherwise every page is managed by options().manager_node.
-  OwnerMapManager(Svm& svm, bool distributed);
+  OwnerMapManager(Svm& svm, bool distributed)
+      : Manager(svm), distributed_(distributed) {}
 
  protected:
   void route_initial(PageId page, net::MsgKind kind) override;
@@ -132,13 +137,6 @@ class OwnerMapManager final : public Manager {
   void hand_off(net::Message&& msg, PageId page, NodeId new_owner) override;
 
  private:
-  /// owner[p] plus the owner it replaced: the ownership history a
-  /// re-issued request from the recorded owner is routed along.
-  struct Ownership {
-    NodeId owner = kNoNode;
-    NodeId prev = kNoNode;
-  };
-
   [[nodiscard]] NodeId manager_of(PageId page) const {
     return distributed_ ? static_cast<NodeId>(page % svm_.nodes())
                         : svm_.options().manager_node;
@@ -149,7 +147,6 @@ class OwnerMapManager final : public Manager {
   void record_owner(PageId page, NodeId owner);
 
   const bool distributed_;
-  std::vector<Ownership> map_;  ///< populated only on managing nodes
 };
 
 /// Dynamic distributed manager: chase probOwner hints; forwarding a

@@ -5,7 +5,8 @@
 // mapping function H").  They are one algorithm with a different
 // manager_of(p): the configured manager node, or H(p) = p mod N.
 //
-// The manager of p keeps owner[p]; copysets stay with the owners, so the
+// The manager of p keeps owner[p] in its own page entry (map_owner, with
+// the owner it replaced in map_prev); copysets stay with the owners, so the
 // manager forwards a fault in one hop and needs no confirmation: for a
 // write fault it eagerly records the requester as the new owner at
 // forward time.  The map therefore names the owner-to-be at the tail of
@@ -13,38 +14,31 @@
 // predecessor's deferred queue until the predecessor's ownership
 // arrives — the serialization the original algorithm achieved with
 // manager-side locks.
+#include <utility>
+
 #include "ivy/svm/manager.h"
 
 namespace ivy::svm {
 
-OwnerMapManager::OwnerMapManager(Svm& svm, bool distributed)
-    : Manager(svm), distributed_(distributed) {
-  // Full-size map on a managing node; only the entries with
-  // manager_of(p) == self are used.
-  if (distributed_ || svm.self() == svm.options().manager_node) {
-    map_.assign(svm.geometry().num_pages,
-                Ownership{svm.options().initial_owner});
-  }
-}
-
 void OwnerMapManager::record_owner(PageId page, NodeId owner) {
-  Ownership& rec = map_[page];
-  if (rec.owner == owner) return;
-  rec.prev = rec.owner;
-  rec.owner = owner;
+  PageEntry& rec = svm_.table().at(page);
+  if (rec.map_owner == owner) return;
+  rec.map_prev = rec.map_owner;
+  rec.map_owner = owner;
 }
 
 NodeId OwnerMapManager::manage(PageId page, net::MsgKind kind,
                                NodeId origin) {
   IVY_CHECK_EQ(manager_of(page), svm_.self());
-  const Ownership rec = map_[page];
+  const PageEntry& rec = std::as_const(svm_.table()).at(page);
   // A request from the node the map already names is a re-issue: its
   // first request bounced or its grant proved stale.  It still belongs
   // behind the writer recorded before it, so forward it along that
   // history — never along its own hint, which can point back here and
   // cycle manager -> node -> manager.  kNoNode (no history) lets the
   // caller fall back to the hint.
-  const NodeId target = rec.owner == origin ? rec.prev : rec.owner;
+  const NodeId target =
+      rec.map_owner == origin ? rec.map_prev : rec.map_owner;
   if (kind == net::MsgKind::kWriteFault) record_owner(page, origin);
   return target;
 }

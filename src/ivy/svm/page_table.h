@@ -91,6 +91,11 @@ struct PageEntry {
   /// Level of the outstanding fault (valid while fault_in_progress;
   /// kNil marks a pure disk restore or a pending outbound transfer).
   Access fault_level = Access::kNil;
+  /// Owner map of the centralized and fixed managers, read only at the
+  /// page's manager: the owner the map names, the owner-to-be at the tail
+  /// of the page's writer order.  It and map_prev fill padding, so the
+  /// map costs no bytes beyond the chunks a run touches.
+  NodeId map_owner = kNoNode;
   /// rpc id of the in-flight fault request, so a bounced request can be
   /// cancelled and re-issued along a fresher hint.
   std::uint64_t fault_rpc = 0;
@@ -129,6 +134,9 @@ struct PageEntry {
   /// steal the page back before the local process ever ran — a livelock
   /// under write contention.
   int grace = 0;
+  /// The owner map_owner replaced, likewise read only at the manager: the
+  /// ownership history a re-issued request from map_owner is routed along.
+  NodeId map_prev = kNoNode;
 
   [[nodiscard]] bool busy() const { return fault_in_progress || grace > 0; }
 
@@ -151,6 +159,7 @@ class PageTable {
     IVY_CHECK_MSG(std::has_single_bit(geo.page_size),
                   "page size " << geo.page_size << " is not a power of two");
     initial_.prob_owner = initial_owner;
+    initial_.map_owner = initial_owner;
     if (self == initial_owner) {
       // "the probOwner field of every entry on all processors is set to
       // some default processor that can be considered the initial owner"

@@ -165,7 +165,7 @@ TEST_P(ChaosTest, ReadModifyWriteRotationGoesBodyless) {
   EXPECT_GT(injected_total(rt), 0u);
 }
 
-// 4 managers x 5 fault seeds; every point runs all six workloads.
+// 4 managers x 60 fault seeds; every point runs all six workloads.
 std::vector<ChaosPoint> chaos_grid() {
   struct Mgr {
     svm::ManagerKind kind;
@@ -179,7 +179,7 @@ std::vector<ChaosPoint> chaos_grid() {
   };
   std::vector<ChaosPoint> grid;
   for (const Mgr& m : kManagers) {
-    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
       grid.push_back(
           {m.kind, seed, std::string(m.name) + "_seed" + std::to_string(seed)});
     }

@@ -1,6 +1,6 @@
 // Unit tests for the simulated token ring: serialization on the shared
 // medium, FIFO delivery, broadcast fan-out, drop injection, fault-hook
-// mechanics, and frame-checksum verification.
+// mechanics, and the receiver discard of corrupted frames.
 #include <gtest/gtest.h>
 
 #include "ivy/net/ring.h"
@@ -206,20 +206,15 @@ TEST_F(RingTest, CorruptedFrameDroppedByReceiverChecksum) {
   EXPECT_EQ(stats_.node_total(2, Counter::kChecksumDrops), 1u);
 }
 
-TEST(MessageChecksum, SealVerifyAndTamper) {
-  Message m;
-  m.src = 3;
-  m.kind = MsgKind::kWriteFault;
-  m.rpc_id = 42;
-  m.origin = 3;
-  m.wire_bytes = 128;
-  seal_message(m);
-  EXPECT_TRUE(message_intact(m));
-  // dst is excluded on purpose: broadcast fan-out rewrites it.
-  m.dst = 7;
-  EXPECT_TRUE(message_intact(m));
-  m.rpc_id = 43;
-  EXPECT_FALSE(message_intact(m));
+TEST_F(RingTest, CorruptedDuplicateDropsEachCopy) {
+  ScriptedHook hook;
+  hook.plans = {{.corrupt = true, .duplicate = true,
+                 .duplicate_delay = us(7)}};
+  ring_.set_fault_hook(&hook);
+  ring_.send(make(0, 2));
+  sim_.run_until_idle();
+  EXPECT_TRUE(received_.empty());
+  EXPECT_EQ(stats_.node_total(2, Counter::kChecksumDrops), 2u);
 }
 
 TEST(RingMisc, MessageKindNamesExist) {

@@ -399,6 +399,44 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(info.param);
     });
 
+// The owner map of the centralized and fixed managers lives in the
+// managing node's page entry: a write fault rewrites that one record and
+// leaves every other node's entry at the initial record.
+class SvmOwnerMap : public testing::TestWithParam<ManagerKind> {};
+
+TEST_P(SvmOwnerMap, OnlyTheManagersEntryRecordsAWriteFault) {
+  SvmHarness h(4, GetParam());
+  constexpr PageId kPage = 5;  // fixed: managed by node 1
+  const NodeId initial = h.at(0).options().initial_owner;
+  const NodeId manager = GetParam() == ManagerKind::kFixedDistributed
+                             ? kPage % 4
+                             : h.at(0).options().manager_node;
+  h.ensure(2, kPage, Access::kWrite);
+  for (NodeId n = 0; n < 4; ++n) {
+    const PageEntry& e = h.at(n).table().at(kPage);
+    if (n == manager) {
+      EXPECT_EQ(e.map_owner, 2u) << "manager " << n;
+      EXPECT_EQ(e.map_prev, initial) << "manager " << n;
+    } else {
+      EXPECT_EQ(e.map_owner, initial) << "node " << n;
+      EXPECT_EQ(e.map_prev, kNoNode) << "node " << n;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OwnerMapManagers, SvmOwnerMap,
+    testing::Values(ManagerKind::kCentralized, ManagerKind::kFixedDistributed),
+    [](const testing::TestParamInfo<ManagerKind>& info) {
+      return to_string(info.param);
+    });
+
+TEST(SvmPageEntry, OwnerRecordFillsPadding) {
+  // map_owner and map_prev fill padding (LP64), so the owner map adds no
+  // bytes to any node's page table.
+  EXPECT_EQ(sizeof(PageEntry), 136u);
+}
+
 TEST(SvmGeometry, PageAndOffsetMath) {
   Geometry geo{1024, 16};
   EXPECT_EQ(geo.size_bytes(), 16u * 1024u);
