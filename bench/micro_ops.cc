@@ -97,6 +97,30 @@ void BM_LocalAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalAccess);
 
+// Host cost of one shared read that hits: the process reads words of
+// pages it already holds, so every reference is a rights check and a
+// frame lookup, with no fault.  The machine is built, and the pages made
+// resident, outside the timed loop, which runs inside the process.
+void BM_PageHit(benchmark::State& state) {
+  constexpr std::size_t kPages = 64;
+  constexpr std::size_t kWords = kPages * 128;  // 1 KiB pages
+  Runtime rt(micro_config(1));
+  auto data = rt.alloc_array<std::uint64_t>(kWords);
+  rt.spawn_on(0, [&state, data]() mutable {
+    for (std::size_t i = 0; i < kWords; ++i) data[i] = i;
+    std::uint64_t sum = 0;
+    std::size_t i = 0;
+    for (auto _ : state) {
+      sum += static_cast<std::uint64_t>(data[i]);
+      i = i + 1 == kWords ? 0 : i + 1;
+    }
+    benchmark::DoNotOptimize(sum);
+  });
+  rt.run();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PageHit);
+
 void BM_RemoteReadFault(benchmark::State& state) {
   Time virtual_per_fault = 0;
   constexpr std::size_t kPages = 64;

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -252,18 +253,25 @@ class Stats {
 
   void record_latency(NodeId node, Hist h, Time v) {
     IVY_CHECK_LT(node, per_node_hist_.size());
-    per_node_hist_[node].of(h).record(v);
+    std::unique_ptr<HistBlock>& blk = per_node_hist_[node];
+    if (blk == nullptr) blk = std::make_unique<HistBlock>();
+    blk->of(h).record(v);
   }
 
+  /// One node's histogram; empty if the node never recorded a latency.
   [[nodiscard]] const Histogram& node_hist(NodeId node, Hist h) const {
     IVY_CHECK_LT(node, per_node_hist_.size());
-    return per_node_hist_[node].of(h);
+    static const Histogram kEmpty;
+    const std::unique_ptr<HistBlock>& blk = per_node_hist_[node];
+    return blk != nullptr ? blk->of(h) : kEmpty;
   }
 
-  /// Merge of one histogram across all nodes.
+  /// Merge of one histogram across the nodes that recorded.
   [[nodiscard]] Histogram hist(Hist h) const {
     Histogram sum;
-    for (const auto& blk : per_node_hist_) sum.merge(blk.of(h));
+    for (const auto& blk : per_node_hist_) {
+      if (blk != nullptr) sum.merge(blk->of(h));
+    }
     return sum;
   }
 
@@ -315,7 +323,9 @@ class Stats {
 
  private:
   std::vector<CounterBlock> per_node_;
-  std::vector<HistBlock> per_node_hist_;
+  /// A node's block is allocated at its first record_latency: building a
+  /// machine writes no empty histograms.
+  std::vector<std::unique_ptr<HistBlock>> per_node_hist_;
   std::vector<CounterBlock> epochs_;
   CounterBlock last_mark_;
   trace::Tracer* tracer_ = nullptr;

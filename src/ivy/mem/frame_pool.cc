@@ -17,6 +17,7 @@ FramePool::FramePool(NodeId node, std::size_t page_size,
       rng_(seed ^ (static_cast<std::uint64_t>(node) << 32)) {
   IVY_CHECK_GT(page_size, 0u);
   IVY_CHECK_GT(capacity_frames, 0u);
+  IVY_CHECK_LT(capacity_frames, std::size_t{kNoSlot});
 }
 
 std::byte* FramePool::acquire(PageId page) {
@@ -28,39 +29,41 @@ std::byte* FramePool::acquire(PageId page) {
   f.bytes = std::make_unique<std::byte[]>(page_size_);
   std::memset(f.bytes.get(), 0, page_size_);
   f.last_used = ++tick_;
-  index_.emplace(page, frames_.size());
+  slot_.at(page) = static_cast<std::uint32_t>(frames_.size());
   frames_.push_back(std::move(f));
   return frames_.back().bytes.get();
 }
 
 void FramePool::release(PageId page) {
-  auto it = index_.find(page);
-  if (it == index_.end()) return;
-  IVY_CHECK_EQ(frames_[it->second].pin_count, 0);
-  remove_at(it->second);
+  const std::uint32_t slot = slot_.get(page);
+  if (slot == kNoSlot) return;
+  IVY_CHECK_EQ(frames_[slot].pin_count, 0);
+  remove_at(slot);
 }
 
 void FramePool::remove_at(std::size_t idx) {
   IVY_CHECK_LT(idx, frames_.size());
-  index_.erase(frames_[idx].page);
+  slot_.at(frames_[idx].page) = kNoSlot;
   if (idx + 1 != frames_.size()) {
+    // The last frame fills the hole; its page now resolves to idx.
     frames_[idx] = std::move(frames_.back());
-    index_[frames_[idx].page] = idx;
+    slot_.at(frames_[idx].page) = static_cast<std::uint32_t>(idx);
   }
   frames_.pop_back();
 }
 
-void FramePool::pin(PageId page) {
-  auto it = index_.find(page);
-  IVY_CHECK_MSG(it != index_.end(), "pin of non-resident page " << page);
-  ++frames_[it->second].pin_count;
+std::uint32_t FramePool::slot_of(PageId page, const char* what) const {
+  const std::uint32_t slot = slot_.get(page);
+  IVY_CHECK_MSG(slot != kNoSlot, what << " of non-resident page " << page);
+  return slot;
 }
 
+void FramePool::pin(PageId page) { ++frames_[slot_of(page, "pin")].pin_count; }
+
 void FramePool::unpin(PageId page) {
-  auto it = index_.find(page);
-  IVY_CHECK_MSG(it != index_.end(), "unpin of non-resident page " << page);
-  IVY_CHECK_GT(frames_[it->second].pin_count, 0);
-  --frames_[it->second].pin_count;
+  Frame& f = frames_[slot_of(page, "unpin")];
+  IVY_CHECK_GT(f.pin_count, 0);
+  --f.pin_count;
 }
 
 std::size_t FramePool::pick_victim(const std::vector<bool>& unevictable) {

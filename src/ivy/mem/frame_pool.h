@@ -15,12 +15,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "ivy/base/chunked_array.h"
 #include "ivy/base/rng.h"
 #include "ivy/base/types.h"
 
@@ -62,9 +63,9 @@ class FramePool {
 
   /// Bytes of a resident page, touching it for recency; nullptr if absent.
   [[nodiscard]] std::byte* lookup(PageId page) {
-    auto it = index_.find(page);
-    if (it == index_.end()) return nullptr;
-    Frame& f = frames_[it->second];
+    const std::uint32_t slot = slot_.get(page);
+    if (slot == kNoSlot) return nullptr;
+    Frame& f = frames_[slot];
     f.last_used = ++tick_;
     return f.bytes.get();
   }
@@ -72,12 +73,12 @@ class FramePool {
   /// Bytes without affecting recency (for assertions, server peeks and
   /// the later pages of a reference the process already touched).
   [[nodiscard]] std::byte* peek(PageId page) const {
-    auto it = index_.find(page);
-    return it == index_.end() ? nullptr : frames_[it->second].bytes.get();
+    const std::uint32_t slot = slot_.get(page);
+    return slot == kNoSlot ? nullptr : frames_[slot].bytes.get();
   }
 
   [[nodiscard]] bool resident(PageId page) const {
-    return index_.contains(page);
+    return slot_.get(page) != kNoSlot;
   }
 
   /// Allocates (or returns) a frame for `page`, evicting if necessary.
@@ -112,6 +113,10 @@ class FramePool {
   [[nodiscard]] std::size_t pick_victim(
       const std::vector<bool>& unevictable);
   void remove_at(std::size_t idx);
+  /// Slot of resident `page` (checked).
+  [[nodiscard]] std::uint32_t slot_of(PageId page, const char* what) const;
+
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
   NodeId node_;
   std::size_t page_size_;
@@ -119,8 +124,10 @@ class FramePool {
   ReplacementPolicy policy_;
   Rng rng_;
   std::uint64_t tick_ = 0;
-  std::vector<Frame> frames_;                        ///< dense storage
-  std::unordered_map<PageId, std::size_t> index_;    ///< page -> slot
+  std::vector<Frame> frames_;  ///< dense storage
+  /// page -> slot in frames_, or kNoSlot; a chunk of it is allocated at
+  /// the first acquire in its range.
+  ChunkedArray<std::uint32_t> slot_{kNoSlot};
   EvictCallback on_evict_;
 
   static constexpr int kSampleProbes = 2;

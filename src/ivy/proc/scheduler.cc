@@ -7,12 +7,6 @@
 #include "ivy/proc/svm_io.h"
 
 namespace ivy::proc {
-namespace {
-
-thread_local Scheduler* g_current_sched = nullptr;
-thread_local Pcb* g_current_pcb = nullptr;
-
-}  // namespace
 
 Scheduler::Scheduler(sim::Simulator& sim, rpc::RemoteOp& rpc, svm::Svm& svm,
                      Stats& stats, NodeId node, const SchedConfig& config,
@@ -163,13 +157,13 @@ void Scheduler::dispatch() {
   }
   last_dispatched_ = pcb;
 
-  g_current_sched = this;
-  g_current_pcb = pcb;
+  current_sched_ = this;
+  current_pcb_ = pcb;
   log_internal::set_context(node_, sim_.now());
   const sim::YieldReason reason = pcb->fiber->resume();
   log_internal::clear_context();
-  g_current_sched = nullptr;
-  g_current_pcb = nullptr;
+  current_sched_ = nullptr;
+  current_pcb_ = nullptr;
 
   const Time fiber_charge = pcb->fiber->take_charge();
   const Time svm_charge = svm_.take_pending_charge();
@@ -218,23 +212,11 @@ void Scheduler::finish(Pcb& pcb) {
 }
 
 void Scheduler::block_current(std::function<void()> post_block) {
-  Pcb* pcb = g_current_pcb;
+  Pcb* pcb = current_pcb_;
   IVY_CHECK_MSG(pcb != nullptr, "block_current outside a process");
   IVY_CHECK(pcb->post_block == nullptr);
   pcb->post_block = std::move(post_block);
   sim::Fiber::yield(sim::YieldReason::kBlocked);
-}
-
-Scheduler* Scheduler::current_scheduler() noexcept { return g_current_sched; }
-Pcb* Scheduler::current_pcb() noexcept { return g_current_pcb; }
-
-void Scheduler::charge_current(Time t) {
-  Pcb* pcb = g_current_pcb;
-  IVY_CHECK_MSG(pcb != nullptr, "charge_current outside a process");
-  // Sole fiber-charge funnel, and the hottest path: it reports nothing.
-  // The dispatch commit counts the charge as compute unless a
-  // kSpinCharged event claimed part of it.
-  pcb->fiber->charge(t);
 }
 
 void Scheduler::stall(Time t) {
@@ -248,7 +230,7 @@ void Scheduler::stall(Time t) {
 }
 
 void Scheduler::set_migratable(bool migratable) {
-  Pcb* pcb = g_current_pcb;
+  Pcb* pcb = current_pcb_;
   IVY_CHECK_MSG(pcb != nullptr, "set_migratable outside a process");
   pcb->migratable = migratable;
 }

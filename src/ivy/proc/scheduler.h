@@ -109,11 +109,20 @@ class Scheduler {
   static void block_current(std::function<void()> post_block);
 
   /// Current process's scheduler/PCB (null outside any process).
-  [[nodiscard]] static Scheduler* current_scheduler() noexcept;
-  [[nodiscard]] static Pcb* current_pcb() noexcept;
+  [[nodiscard]] static Scheduler* current_scheduler() noexcept {
+    return current_sched_;
+  }
+  [[nodiscard]] static Pcb* current_pcb() noexcept { return current_pcb_; }
 
-  /// Charges virtual CPU time to the running fiber.
-  static void charge_current(Time t);
+  /// Charges virtual CPU time to the running fiber.  Sole fiber-charge
+  /// funnel, and the hottest path: it reports nothing.  The dispatch
+  /// commit counts the charge as compute unless a kSpinCharged event
+  /// claimed part of it.
+  static void charge_current(Time t) {
+    Pcb* pcb = current_pcb_;
+    IVY_CHECK_MSG(pcb != nullptr, "charge_current outside a process");
+    pcb->fiber->charge(t);
+  }
 
   /// Marks the current process (non-)migratable at run time, as the
   /// paper's client primitive allows.
@@ -157,6 +166,10 @@ class Scheduler {
   void maybe_arm_null_timer();
   void null_tick();
   void maybe_advertise_load();
+
+  /// The dispatcher sets these around each fiber resume.
+  static inline thread_local constinit Scheduler* current_sched_ = nullptr;
+  static inline thread_local constinit Pcb* current_pcb_ = nullptr;
 
   sim::Simulator& sim_;
   rpc::RemoteOp& rpc_;

@@ -18,37 +18,38 @@ void fault(Scheduler* sched, svm::Svm& svm, PageId page, svm::Access want) {
   });
 }
 
-Scheduler* current() {
-  Scheduler* sched = Scheduler::current_scheduler();
-  IVY_CHECK_MSG(sched != nullptr, "SVM access outside a process");
-  return sched;
-}
-
 }  // namespace
 
-std::span<std::byte> ensure_access(SvmAddr addr, std::size_t len,
-                                   svm::Access want) {
-  Scheduler* sched = current();
+namespace detail {
+
+std::span<std::byte> access_after_miss(Scheduler* sched, PageId page,
+                                       std::size_t off, svm::Access want) {
+  svm::Svm& svm = sched->svm();
+  std::byte* frame = nullptr;
+  do {
+    fault(sched, svm, page, want);
+  } while ((frame = svm.reference(page, want)) == nullptr);
+  return {frame + off, svm.geometry().page_size - off};
+}
+
+std::span<std::byte> access_spanning(Scheduler* sched, SvmAddr addr,
+                                     std::size_t len, svm::Access want) {
   svm::Svm& svm = sched->svm();
   const svm::Geometry& geo = svm.geometry();
   const Time mem_ref = sched->simulator().costs().mem_ref;
-  IVY_CHECK_GT(len, 0u);
-
   const PageId first = geo.page_of(addr);
   const PageId last = geo.page_of(addr + len - 1);
   const std::size_t off = geo.offset_of(addr);
   for (;;) {
     bool faulted = false;
-    std::byte* frame = nullptr;
     for (PageId page = first; page <= last; ++page) {
       // The rights check itself is the memory reference cost.
       Scheduler::charge_current(mem_ref);
-      while ((frame = svm.reference(page, want)) == nullptr) {
+      while (svm.reference(page, want) == nullptr) {
         faulted = true;
         fault(sched, svm, page, want);
       }
     }
-    if (first == last) return {frame + off, geo.page_size - off};
     // An access spanning pages is atomic only if every page was held
     // without an intervening block; any fault may have cost us an
     // earlier page of the span, and so may a later page's frame, when
@@ -62,8 +63,11 @@ std::span<std::byte> ensure_access(SvmAddr addr, std::size_t len,
   }
 }
 
+}  // namespace detail
+
 void claim_access(SvmAddr addr, svm::Access want) {
-  Scheduler* sched = current();
+  Scheduler* sched = Scheduler::current_scheduler();
+  IVY_CHECK_MSG(sched != nullptr, "SVM access outside a process");
   svm::Svm& svm = sched->svm();
   const PageId page = svm.geometry().page_of(addr);
   Scheduler::charge_current(sched->simulator().costs().mem_ref);

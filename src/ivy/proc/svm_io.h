@@ -5,9 +5,11 @@
 // page, one Svm::reference per page); a miss charges the fault-handler
 // overhead, blocks the process, and lets the memory mapping manager run
 // the coherence protocol.  Access can be revoked between the grant and the
-// process actually running again, so the loop re-checks.  A hit and a
-// fault take the same loop, and the data moves through the frame it
-// returns.
+// process actually running again, so the fault loop re-checks.  As with
+// the MMU, a hit costs the host next to nothing: a one-page hit is inline
+// here, one rights check on one page entry, while a miss and a reference
+// that spans pages go out of line to the loops in svm_io.cc.  Either way
+// the data moves through the frame returned.
 #pragma once
 
 #include <cstring>
@@ -17,11 +19,43 @@
 
 namespace ivy::proc {
 
+namespace detail {
+
+/// ensure_access's one-page miss: faults until `page` is held, then
+/// returns its frame bytes from `off`.  The hit already charged mem_ref.
+std::span<std::byte> access_after_miss(Scheduler* sched, PageId page,
+                                       std::size_t off, svm::Access want);
+/// ensure_access for a reference that spans pages.
+std::span<std::byte> access_spanning(Scheduler* sched, SvmAddr addr,
+                                     std::size_t len, svm::Access want);
+
+}  // namespace detail
+
 /// Ensures `want` access to every page of `addr`..`addr+len` at once and
 /// returns the frame bytes from `addr` to the end of its page.  Must be
-/// called from inside a process.
-std::span<std::byte> ensure_access(SvmAddr addr, std::size_t len,
-                                   svm::Access want);
+/// called from inside a process.  Forced inline, as are svm_read and
+/// svm_write: GCC's size limits would otherwise leave an out-of-line copy
+/// in the large kernels, and every hit would pay the call.
+[[gnu::always_inline]] inline std::span<std::byte> ensure_access(
+    SvmAddr addr, std::size_t len, svm::Access want) {
+  Scheduler* sched = Scheduler::current_scheduler();
+  IVY_CHECK_MSG(sched != nullptr, "SVM access outside a process");
+  IVY_CHECK_GT(len, 0u);
+  svm::Svm& svm = sched->svm();
+  const svm::Geometry& geo = svm.geometry();
+  const PageId page = geo.page_of(addr);
+  const std::size_t off = geo.offset_of(addr);
+  if (len > geo.page_size - off) {
+    return detail::access_spanning(sched, addr, len, want);
+  }
+  // The rights check itself is the memory reference cost.
+  Scheduler::charge_current(sched->simulator().costs().mem_ref);
+  std::byte* frame = svm.reference(page, want);
+  if (frame == nullptr) [[unlikely]] {
+    return detail::access_after_miss(sched, page, off, want);
+  }
+  return {frame + off, geo.page_size - off};
+}
 
 /// Ensures `want` access to the page holding `addr` without touching its
 /// frame: a process's first touch of its stack page, whose body runs on
@@ -37,7 +71,7 @@ void write_spanning(SvmAddr addr, std::span<std::byte> head,
 
 /// Typed read at `addr`.  T must be trivially copyable.
 template <typename T>
-[[nodiscard]] T svm_read(SvmAddr addr) {
+[[nodiscard, gnu::always_inline]] inline T svm_read(SvmAddr addr) {
   static_assert(std::is_trivially_copyable_v<T>);
   T value;
   const std::span<std::byte> head =
@@ -52,7 +86,7 @@ template <typename T>
 
 /// Typed write at `addr`.
 template <typename T>
-void svm_write(SvmAddr addr, const T& value) {
+[[gnu::always_inline]] inline void svm_write(SvmAddr addr, const T& value) {
   static_assert(std::is_trivially_copyable_v<T>);
   const std::span<std::byte> head =
       ensure_access(addr, sizeof(T), svm::Access::kWrite);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "ivy/base/log.h"
 #include "ivy/trace/chrome_trace.h"
@@ -305,31 +306,39 @@ std::string Runtime::dump_state() const {
         << " ready=" << ctx.sched.ready_count()
         << " rpc_outstanding=" << ctx.rpc.outstanding_requests() << '\n';
   }
+  // Remote requests deferred and local processes waiting on a page.
+  const auto queued = [this](NodeId n, PageId p) {
+    const svm::PageQueues* q = node_of(n).svm.table().find_queues(p);
+    return q == nullptr ? std::pair<std::size_t, std::size_t>{}
+                        : std::pair{q->deferred_requests.size(),
+                                    q->local_waiters.size()};
+  };
   const PageId pages = cfg_.total_pages();
   for (PageId p = 0; p < pages; ++p) {
     bool interesting = false;
     int owners = 0;
     for (NodeId n = 0; n < cfg_.nodes; ++n) {
       const svm::PageEntry& e = node_of(n).svm.table().at(p);
+      const auto [deferred, waiters] = queued(n, p);
       owners += e.owned ? 1 : 0;
-      interesting = interesting || e.fault_in_progress ||
-                    !e.deferred_requests.empty() || !e.local_waiters.empty();
+      interesting = interesting || e.fault_in_progress || deferred != 0 ||
+                    waiters != 0;
     }
     if (!interesting && owners == 1) continue;
     out << "page " << p << " (owners=" << owners << "):\n";
     for (NodeId n = 0; n < cfg_.nodes; ++n) {
       const svm::PageEntry& e = node_of(n).svm.table().at(p);
-      if (!e.owned && !e.fault_in_progress && e.deferred_requests.empty() &&
-          e.local_waiters.empty() && e.access == svm::Access::kNil) {
+      const auto [deferred, waiters] = queued(n, p);
+      if (!e.owned && !e.fault_in_progress && deferred == 0 && waiters == 0 &&
+          e.access == svm::Access::kNil) {
         continue;
       }
       out << "  node " << n << ": access=" << svm::to_string(e.access)
           << " owned=" << e.owned << " probOwner=" << e.prob_owner
           << " fault=" << e.fault_in_progress
           << " level=" << static_cast<int>(e.fault_level)
-          << " version=" << e.version
-          << " deferred=" << e.deferred_requests.size()
-          << " waiters=" << e.local_waiters.size() << '\n';
+          << " version=" << e.version << " deferred=" << deferred
+          << " waiters=" << waiters << '\n';
     }
   }
   return out.str();

@@ -10,14 +10,14 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "ivy/base/check.h"
+#include "ivy/base/chunked_array.h"
 #include "ivy/base/types.h"
 #include "ivy/net/message.h"
 
@@ -64,7 +64,10 @@ struct LocalWaiter {
   std::function<void()> resume;
 };
 
-struct PageEntry {
+/// A page's state at one node: one cache line, so a process's reference
+/// reads one line.  The queues only faults and ownership transfers use
+/// live beside the table (PageQueues).
+struct alignas(64) PageEntry {
   Access access = Access::kNil;
   bool owned = false;
   /// Owner hint; exact at the owner's last known location.  All managers
@@ -111,22 +114,6 @@ struct PageEntry {
   /// recovery from routing state poisoned by a lost grant.  Bounded; see
   /// Manager::relocate_on_failure.
   int lost_retries = 0;
-  /// Versions of ownership grants this node accepted whose accept ack the
-  /// old owner has not yet confirmed processing (the kGrantAck request's
-  /// reply is the confirmation).  A duplicate of such a grant — the old
-  /// owner re-sends it under a fresh rpc id while the ack is in flight —
-  /// must be re-acked as accepted, never rejected: a reject could
-  /// overtake the original accept and abort a confirmed transfer, leaving
-  /// two owners.  (page, version) identifies a grant uniquely: owners
-  /// bump the version at every serve and never reuse one, even across
-  /// aborted transfers.  Once confirmed, the old owner has settled that
-  /// transfer and a reject of a late duplicate is harmlessly ignored.
-  std::vector<std::uint64_t> unconfirmed_accepts;
-
-  [[nodiscard]] bool accepted_unconfirmed(std::uint64_t version) const {
-    return std::find(unconfirmed_accepts.begin(), unconfirmed_accepts.end(),
-                     version) != unconfirmed_accepts.end();
-  }
   /// Post-fault grace: number of local waiters that still must perform
   /// their first access before deferred remote requests are replayed.  A
   /// real MMU retries the faulting instruction before any other fault is
@@ -139,59 +126,117 @@ struct PageEntry {
   NodeId map_prev = kNoNode;
 
   [[nodiscard]] bool busy() const { return fault_in_progress || grace > 0; }
+};
 
+/// The queues of a page at one node, which only faults and ownership
+/// transfers touch.  They live in a side table of the PageTable, so an
+/// entry stays one cache line.
+struct PageQueues {
+  /// Versions of ownership grants this node accepted whose accept ack the
+  /// old owner has not yet confirmed processing (the kGrantAck request's
+  /// reply is the confirmation).  A duplicate of such a grant — the old
+  /// owner re-sends it under a fresh rpc id while the ack is in flight —
+  /// must be re-acked as accepted, never rejected: a reject could
+  /// overtake the original accept and abort a confirmed transfer, leaving
+  /// two owners.  (page, version) identifies a grant uniquely: owners
+  /// bump the version at every serve and never reuse one, even across
+  /// aborted transfers.  Once confirmed, the old owner has settled that
+  /// transfer and a reject of a late duplicate is harmlessly ignored.
+  std::vector<std::uint64_t> unconfirmed_accepts;
   /// Local processes waiting on the outstanding fault.
   std::vector<LocalWaiter> local_waiters;
   /// Remote requests that arrived while this node was mid-fault on the
   /// page; replayed once the fault completes.
   std::vector<net::Message> deferred_requests;
+
+  [[nodiscard]] bool empty() const {
+    return unconfirmed_accepts.empty() && local_waiters.empty() &&
+           deferred_requests.empty();
+  }
 };
 
-/// Entries live in fixed chunks of kChunkPages, allocated on the first
-/// mutable lookup of one of their pages.  Most of a large address space is
-/// never touched by a given node, so its table costs one null pointer per
-/// chunk; reads of an untouched page see the initial entry.
+/// Entries live in lazily allocated chunks (ChunkedArray): most of a large
+/// address space is never touched by a given node, so its table costs one
+/// null pointer per chunk; reads of an untouched page see the initial
+/// entry.  A page's queues exist only while one of them holds something.
 class PageTable {
  public:
   explicit PageTable(const Geometry& geo, NodeId initial_owner, NodeId self)
       : num_pages_(geo.num_pages),
-        chunks_((geo.num_pages + kChunkPages - 1) / kChunkPages) {
+        entries_(initial_entry(initial_owner, self), geo.num_pages) {
     IVY_CHECK_MSG(std::has_single_bit(geo.page_size),
                   "page size " << geo.page_size << " is not a power of two");
-    initial_.prob_owner = initial_owner;
-    initial_.map_owner = initial_owner;
-    if (self == initial_owner) {
-      // "the probOwner field of every entry on all processors is set to
-      // some default processor that can be considered the initial owner"
-      initial_.owned = true;
-      initial_.access = Access::kWrite;
-    }
   }
 
   [[nodiscard]] PageEntry& at(PageId page) {
     IVY_CHECK_LT(page, num_pages_);
-    std::unique_ptr<Chunk>& chunk = chunks_[page / kChunkPages];
-    if (chunk == nullptr) {
-      chunk = std::make_unique<Chunk>();
-      chunk->fill(initial_);
-    }
-    return (*chunk)[page % kChunkPages];
+    return entries_.at(page);
   }
   [[nodiscard]] const PageEntry& at(PageId page) const {
     IVY_CHECK_LT(page, num_pages_);
-    const std::unique_ptr<Chunk>& chunk = chunks_[page / kChunkPages];
-    return chunk != nullptr ? (*chunk)[page % kChunkPages] : initial_;
+    return entries_.get(page);
   }
 
   [[nodiscard]] PageId num_pages() const { return num_pages_; }
 
- private:
-  static constexpr PageId kChunkPages = 256;
-  using Chunk = std::array<PageEntry, kChunkPages>;
+  /// The queues of `page`, created on first use.
+  [[nodiscard]] PageQueues& queues(PageId page) {
+    IVY_CHECK_LT(page, num_pages_);
+    return queues_[page];
+  }
+  /// The queues of `page`, or null while every one is empty.
+  [[nodiscard]] const PageQueues* find_queues(PageId page) const {
+    auto it = queues_.find(page);
+    return it != queues_.end() ? &it->second : nullptr;
+  }
 
-  PageEntry initial_;  ///< what every untouched page reads as
+  /// Moves out one queue of `page`, dropping the page's side-table entry
+  /// if that leaves every queue empty.
+  template <typename T>
+  [[nodiscard]] std::vector<T> take(PageId page,
+                                    std::vector<T> PageQueues::*queue) {
+    std::vector<T> out;
+    auto it = queues_.find(page);
+    if (it == queues_.end()) return out;
+    out.swap(it->second.*queue);
+    if (it->second.empty()) queues_.erase(it);
+    return out;
+  }
+
+  /// Whether this node accepted the write grant of `page` at `version`
+  /// and the old owner has not yet confirmed the ack.
+  [[nodiscard]] bool accepted_unconfirmed(PageId page,
+                                          std::uint64_t version) const {
+    const PageQueues* q = find_queues(page);
+    return q != nullptr && std::ranges::find(q->unconfirmed_accepts,
+                                             version) !=
+                               q->unconfirmed_accepts.end();
+  }
+  /// Forgets an accepted grant the old owner confirmed.
+  void confirm_accept(PageId page, std::uint64_t version) {
+    auto it = queues_.find(page);
+    if (it == queues_.end()) return;
+    std::erase(it->second.unconfirmed_accepts, version);
+    if (it->second.empty()) queues_.erase(it);
+  }
+
+ private:
+  static PageEntry initial_entry(NodeId initial_owner, NodeId self) {
+    PageEntry e;
+    e.prob_owner = initial_owner;
+    e.map_owner = initial_owner;
+    if (self == initial_owner) {
+      // "the probOwner field of every entry on all processors is set to
+      // some default processor that can be considered the initial owner"
+      e.owned = true;
+      e.access = Access::kWrite;
+    }
+    return e;
+  }
+
   PageId num_pages_;
-  std::vector<std::unique_ptr<Chunk>> chunks_;
+  ChunkedArray<PageEntry> entries_;
+  std::unordered_map<PageId, PageQueues> queues_;
 };
 
 }  // namespace ivy::svm

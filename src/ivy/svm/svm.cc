@@ -78,7 +78,8 @@ void Svm::request_access(PageId page, Access want,
     done();
     return;
   }
-  entry.local_waiters.push_back(LocalWaiter{want, std::move(done)});
+  table_.queues(page).local_waiters.push_back(
+      LocalWaiter{want, std::move(done)});
   if (entry.fault_in_progress) {
     // A fault for this page is already in flight; the waiter queues on
     // it.  If the level is insufficient the drain loop re-requests.
@@ -96,14 +97,6 @@ void Svm::request_access(PageId page, Access want,
   }
   emit({.kind = EventKind::kFaultStart, .page = page, .level = want});
   manager_->start_fault(page, want);
-}
-
-std::byte* Svm::reference(PageId page, Access want) {
-  PageEntry& entry = table_.at(page);
-  if (!satisfies(entry.access, want)) return nullptr;
-  if (entry.grace > 0) consume_grace(page, entry);
-  if (want == Access::kWrite) entry.disk_current = false;
-  return usable_frame(page);
 }
 
 bool Svm::claim(PageId page, Access want) {
@@ -148,8 +141,7 @@ void Svm::write_bytes(SvmAddr addr, std::span<const std::byte> in) {
   }
 }
 
-std::byte* Svm::usable_frame(PageId page) {
-  if (std::byte* bytes = pool_.lookup(page); bytes != nullptr) return bytes;
+std::byte* Svm::zero_frame(PageId page) {
   // Lazily materialize a zero page: only the owner of a never-touched,
   // never-spilled page may be here.
   const PageEntry& entry = table_.at(page);
@@ -226,8 +218,7 @@ void Svm::complete_fault(PageId page) {
     rpc_.cancel(entry.fault_rpc);
   }
 
-  auto waiters = std::move(entry.local_waiters);
-  entry.local_waiters.clear();
+  auto waiters = table_.take(page, &PageQueues::local_waiters);
   int satisfied = 0;
   for (LocalWaiter& w : waiters) {
     if (satisfies(entry.access, w.want)) {
@@ -272,19 +263,16 @@ void Svm::consume_grace(PageId page, PageEntry& entry) {
 }
 
 void Svm::replay_deferred(PageId page) {
-  PageEntry& entry = table_.at(page);
-  auto deferred = std::move(entry.deferred_requests);
-  entry.deferred_requests.clear();
+  auto deferred = table_.take(page, &PageQueues::deferred_requests);
   for (net::Message& msg : deferred) {
     manager_->on_fault_request(std::move(msg));
   }
 }
 
 void Svm::defer_request(PageId page, net::Message&& msg) {
-  PageEntry& entry = table_.at(page);
   IVY_DEBUG() << "node " << self_ << " defers " << net::to_string(msg.kind)
               << " from " << msg.origin << " for page " << page;
-  entry.deferred_requests.push_back(std::move(msg));
+  table_.queues(page).deferred_requests.push_back(std::move(msg));
 }
 
 void Svm::invalidate_copies(PageId page, std::function<void()> done) {
@@ -392,7 +380,7 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from,
                        bool answers_fault) {
   if (!grant.write_grant) return false;  // read copies carry no resource
   PageEntry& entry = table_.at(grant.page);
-  if (entry.accepted_unconfirmed(grant.version)) {
+  if (table_.accepted_unconfirmed(grant.page, grant.version)) {
     // Duplicate of a grant this node already accepted.  Re-ack the
     // acceptance but install nothing — the first copy did.  Rejecting
     // instead could overtake the original accept (delay faults reorder
@@ -564,7 +552,7 @@ void Svm::send_grant_ack(NodeId to, PageId page, std::uint64_t version,
     // meanwhile must be re-acked accept, never rejected.  Bounded as a
     // backstop against a terminally-failed ack (a re-offered grant will
     // re-drive the handshake in that case).
-    auto& set = table_.at(page).unconfirmed_accepts;
+    auto& set = table_.queues(page).unconfirmed_accepts;
     if (std::find(set.begin(), set.end(), version) == set.end()) {
       set.push_back(version);
       if (set.size() > 8) set.erase(set.begin());
@@ -574,8 +562,7 @@ void Svm::send_grant_ack(NodeId to, PageId page, std::uint64_t version,
                GrantAckPayload{page, version, accept},
                GrantAckPayload::kWireBytes,
                [this, page, version, accept](net::Message&&) {
-                 if (!accept) return;
-                 std::erase(table_.at(page).unconfirmed_accepts, version);
+                 if (accept) table_.confirm_accept(page, version);
                },
                /*timeout=*/0,
                [](const rpc::RequestFailure&) {

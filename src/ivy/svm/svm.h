@@ -103,7 +103,14 @@ class Svm {
   /// modify bit (`disk_current`) on a write and touches the frame for
   /// recency once, all through one page-entry lookup.  Returns the frame,
   /// or null when the right is missing (the caller faults and retries).
-  [[nodiscard]] std::byte* reference(PageId page, Access want);
+  /// Inline: a hit is the MMU's work, one rights check on one entry.
+  [[nodiscard]] std::byte* reference(PageId page, Access want) {
+    PageEntry& entry = table_.at(page);
+    if (!satisfies(entry.access, want)) return nullptr;
+    if (entry.grace > 0) [[unlikely]] consume_grace(page, entry);
+    if (want == Access::kWrite) entry.disk_current = false;
+    return usable_frame(page);
+  }
   /// A reference that moves no data (a process's first touch of its stack
   /// page): checks the right and consumes a pending grace, but takes no
   /// frame, touches no recency and leaves the modify bit alone.  False
@@ -250,7 +257,12 @@ class Svm {
   /// Frame bytes for `page`, materializing a zero page lazily for owned
   /// never-touched pages.  Requires the page be usable (owner, not on
   /// disk, or holding a copy).
-  [[nodiscard]] std::byte* usable_frame(PageId page);
+  [[nodiscard]] std::byte* usable_frame(PageId page) {
+    std::byte* bytes = pool_.lookup(page);
+    return bytes != nullptr ? bytes : zero_frame(page);
+  }
+  /// usable_frame's miss: the zero page of an owned never-touched page.
+  [[nodiscard]] std::byte* zero_frame(PageId page);
 
   /// A local process performed an access on `page` while it was in
   /// post-fault grace; when all granted waiters have touched it, deferred

@@ -283,6 +283,35 @@ TEST(Stats, LatencyHistogramsPerNodeAndMerged) {
   EXPECT_EQ(stats.hist(Hist::kEcWait).count(), 0u);
 }
 
+TEST(Stats, NodeThatNeverRecordedReadsEmpty) {
+  Stats stats(4);
+  stats.record_latency(1, Hist::kFaultResolution, 12);
+  stats.record_latency(3, Hist::kFaultResolution, 5);
+  stats.record_latency(3, Hist::kFaultResolution, 900);
+  for (NodeId n : {NodeId{0}, NodeId{2}}) {
+    for (std::size_t h = 0; h < kHistCount; ++h) {
+      const Histogram& empty = stats.node_hist(n, static_cast<Hist>(h));
+      EXPECT_EQ(empty.count(), 0u) << "node " << n << " hist " << h;
+      EXPECT_EQ(empty.sum(), 0u);
+      EXPECT_EQ(empty.percentile(0.99), 0u);
+    }
+  }
+  // A recording node's other histograms are empty too.
+  EXPECT_EQ(stats.node_hist(1, Hist::kLockWait).count(), 0u);
+  // The merge equals the merge of the recording nodes alone.
+  Histogram expect;
+  expect.merge(stats.node_hist(1, Hist::kFaultResolution));
+  expect.merge(stats.node_hist(3, Hist::kFaultResolution));
+  const Histogram merged = stats.hist(Hist::kFaultResolution);
+  EXPECT_EQ(merged.count(), expect.count());
+  EXPECT_EQ(merged.sum(), expect.sum());
+  EXPECT_EQ(merged.min(), 5u);
+  EXPECT_EQ(merged.max(), 900u);
+  for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+    EXPECT_EQ(merged.bucket(b), expect.bucket(b)) << "bucket " << b;
+  }
+}
+
 TEST(Types, TimeLiteralHelpers) {
   EXPECT_EQ(us(1), 1000);
   EXPECT_EQ(ms(1), 1'000'000);

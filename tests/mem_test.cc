@@ -147,6 +147,48 @@ TEST_F(FramePoolTest, CyclicScanPathology) {
   EXPECT_LT(sampled, strict * 2 / 3);
 }
 
+// release() fills the freed slot with the last frame; the moved page's
+// slot must follow it, wherever in the page space it lies.
+TEST_F(FramePoolTest, ReleaseMovesLastFrameAndKeepsEveryPageFound) {
+  FramePool pool = make(8);
+  // Pages in four different 256-page chunks, one far out.
+  const std::vector<PageId> pages = {3, 700, 40000, 255, 256, 1u << 20};
+  for (PageId p : pages) pool.acquire(p)[0] = static_cast<std::byte>(p % 251);
+  const auto check_all = [&](const std::vector<PageId>& live) {
+    for (PageId p : live) {
+      ASSERT_TRUE(pool.resident(p)) << p;
+      ASSERT_NE(pool.peek(p), nullptr) << p;
+      EXPECT_EQ(pool.peek(p)[0], static_cast<std::byte>(p % 251)) << p;
+      EXPECT_EQ(pool.lookup(p), pool.peek(p)) << p;
+    }
+    EXPECT_EQ(pool.resident_count(), live.size());
+  };
+  // Releasing the first frame moves the last (page 1<<20) into slot 0.
+  pool.release(3);
+  EXPECT_FALSE(pool.resident(3));
+  EXPECT_EQ(pool.lookup(3), nullptr);
+  check_all({700, 40000, 255, 256, 1u << 20});
+  // Pin the last frame, then move it: unpin and release find it in its
+  // new slot, and the pin count moved with it.
+  pool.pin(256);
+  pool.release(700);  // page 256 moves into slot 1
+  check_all({40000, 255, 256, 1u << 20});
+  pool.unpin(256);
+  pool.release(256);  // page 255 moves into slot 1
+  check_all({40000, 255, 1u << 20});
+  // Releasing the last frame moves nothing; a release of an absent page
+  // is a no-op.
+  pool.release(40000);
+  pool.release(40000);
+  check_all({255, 1u << 20});
+  // Re-acquiring a released page gives a fresh zeroed frame.
+  std::byte* again = pool.acquire(700);
+  EXPECT_EQ(again[0], std::byte{0});
+  again[0] = static_cast<std::byte>(700 % 251);
+  check_all({255, 1u << 20, 700});
+  EXPECT_TRUE(evicted_.empty());
+}
+
 TEST(DiskTest, RoundTripsPageImages) {
   Stats stats(1);
   sim::CostModel costs;

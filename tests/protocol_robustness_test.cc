@@ -192,7 +192,9 @@ TEST_P(UpgradeRace, CopyHolderUpgradeRacingInvalidationConverges) {
   for (NodeId n = 0; n < 3; ++n) {
     const PageEntry& e = h.at(n).table().at(2);
     EXPECT_FALSE(e.fault_in_progress) << "node " << n;
-    EXPECT_TRUE(e.deferred_requests.empty()) << "node " << n;
+    // Quiescent: no queue of the page holds anything, so the side table
+    // holds no entry for it.
+    EXPECT_EQ(h.at(n).table().find_queues(2), nullptr) << "node " << n;
   }
   // Post-race the protocol still moves data correctly.
   h.ensure(2, 2, Access::kWrite);
@@ -333,8 +335,8 @@ TEST_P(ProtocolStress, RandomOpsWithDropsConvergeToSingleOwners) {
     for (NodeId n = 0; n < 6; ++n) {
       const PageEntry& e = h.at(n).table().at(p);
       EXPECT_FALSE(e.fault_in_progress) << "node " << n << " page " << p;
-      EXPECT_TRUE(e.deferred_requests.empty());
-      EXPECT_TRUE(e.local_waiters.empty());
+      EXPECT_EQ(h.at(n).table().find_queues(p), nullptr)
+          << "node " << n << " page " << p;
     }
   }
 }

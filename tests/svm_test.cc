@@ -431,10 +431,11 @@ INSTANTIATE_TEST_SUITE_P(
       return to_string(info.param);
     });
 
-TEST(SvmPageEntry, OwnerRecordFillsPadding) {
-  // map_owner and map_prev fill padding (LP64), so the owner map adds no
-  // bytes to any node's page table.
-  EXPECT_EQ(sizeof(PageEntry), 136u);
+TEST(SvmPageEntry, IsOneCacheLine) {
+  // The queues live in the side table and map_owner and map_prev fill
+  // padding (LP64), so a reference reads one 64-byte line.
+  EXPECT_EQ(sizeof(PageEntry), 64u);
+  EXPECT_EQ(alignof(PageEntry), 64u);
 }
 
 TEST(SvmGeometry, PageAndOffsetMath) {
