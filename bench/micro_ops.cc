@@ -274,7 +274,7 @@ void BM_RingBroadcast(benchmark::State& state) {
     const Time start = sim.now();
     for (int i = 0; i < kBcasts; ++i) {
       // Scheduling-hint style broadcast: no reply expected.
-      rt.rpc(0).broadcast(net::MsgKind::kLoadHint, std::any{}, 16,
+      rt.rpc(0).broadcast(net::MsgKind::kLoadHint, net::EmptyPayload{},
                           rpc::BcastReply::kNone);
     }
     sim.run_until_idle();

@@ -31,9 +31,8 @@ SvmAddr CentralAllocator::allocate(std::size_t bytes) {
   }
   stats.bump(sched_.node(), Counter::kAllocRemoteCalls);
   net::Message reply = proc::blocking_request(
-      central_, net::MsgKind::kAllocRequest, AllocRequestPayload{bytes},
-      AllocRequestPayload::kWireBytes);
-  return std::any_cast<AllocReplyPayload>(reply.payload).addr;
+      central_, net::MsgKind::kAllocRequest, net::AllocRequestPayload{bytes});
+  return std::get<net::AllocReplyPayload>(reply.payload).addr;
 }
 
 void CentralAllocator::deallocate(SvmAddr addr) {
@@ -44,8 +43,7 @@ void CentralAllocator::deallocate(SvmAddr addr) {
     return;
   }
   (void)proc::blocking_request(central_, net::MsgKind::kFreeRequest,
-                               FreeRequestPayload{addr},
-                               FreeRequestPayload::kWireBytes);
+                               net::FreeRequestPayload{addr});
 }
 
 SvmAddr CentralAllocator::host_allocate(std::size_t bytes) {
@@ -59,16 +57,15 @@ void CentralAllocator::host_free(SvmAddr addr) {
 }
 
 void CentralAllocator::on_alloc_request(net::Message&& msg) {
-  const auto req = std::any_cast<AllocRequestPayload>(msg.payload);
+  const auto req = std::get<net::AllocRequestPayload>(msg.payload);
   const SvmAddr addr = heap_->allocate(req.bytes);
-  sched_.rpc().reply_to(msg, AllocReplyPayload{addr},
-                        AllocReplyPayload::kWireBytes);
+  sched_.rpc().reply_to(msg, net::AllocReplyPayload{addr});
 }
 
 void CentralAllocator::on_free_request(net::Message&& msg) {
-  const auto req = std::any_cast<FreeRequestPayload>(msg.payload);
+  const auto req = std::get<net::FreeRequestPayload>(msg.payload);
   heap_->free(req.addr);
-  sched_.rpc().reply_to(msg, AllocReplyPayload{}, 8);
+  sched_.rpc().reply_to(msg, net::EmptyPayload{});
 }
 
 }  // namespace ivy::alloc

@@ -35,7 +35,6 @@ class CentralAllocator final : public SharedHeap {
   [[nodiscard]] bool is_central() const {
     return sched_.node() == central_;
   }
-  [[nodiscard]] const FirstFit* free_list() const { return heap_.get(); }
 
  private:
   void on_alloc_request(net::Message&& msg);

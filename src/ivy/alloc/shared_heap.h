@@ -1,4 +1,4 @@
-// Shared-memory allocation interface and protocol payloads.
+// Shared-memory allocation interface.
 //
 // "The processor with which the user directly contacts will be appointed
 // to the centralized memory manager."  Clients allocate through a
@@ -6,8 +6,6 @@
 // central node, the two-level implementation caches big chunks locally
 // (the "more efficient approach" the paper proposes as future work).
 #pragma once
-
-#include <cstdint>
 
 #include "ivy/base/types.h"
 
@@ -23,21 +21,6 @@ class SharedHeap {
 
   /// Frees an allocation made through the same heap family.
   virtual void deallocate(SvmAddr addr) = 0;
-};
-
-struct AllocRequestPayload {
-  std::uint64_t bytes = 0;
-  static constexpr std::uint32_t kWireBytes = 16;
-};
-
-struct AllocReplyPayload {
-  SvmAddr addr = kNullSvmAddr;  ///< kNullSvmAddr = out of shared memory
-  static constexpr std::uint32_t kWireBytes = 16;
-};
-
-struct FreeRequestPayload {
-  SvmAddr addr = kNullSvmAddr;
-  static constexpr std::uint32_t kWireBytes = 16;
 };
 
 }  // namespace ivy::alloc

@@ -31,8 +31,6 @@ class TwoLevelAllocator final : public SharedHeap {
   [[nodiscard]] SvmAddr allocate(std::size_t bytes) override;
   void deallocate(SvmAddr addr) override;
 
-  [[nodiscard]] std::size_t chunks_held() const { return chunks_.size(); }
-
  private:
   struct LocalChunk {
     SvmAddr base;

@@ -64,9 +64,9 @@ RunOutcome run_jacobi(Runtime& rt, const JacobiParams& params) {
   const auto expect = jacobi_oracle(am, bv, n, params.iterations);
   bool ok = true;
   double max_err = 0.0;
+  const std::vector<double> got = rt.host_read(x);
   for (std::size_t i = 0; i < n; ++i) {
-    const double got = rt.host_read(x, i);
-    const double err = std::abs(got - expect[i]);
+    const double err = std::abs(got[i] - expect[i]);
     max_err = std::max(max_err, err);
     if (!(err <= 1e-9 * (1.0 + std::abs(expect[i])))) ok = false;
   }

@@ -93,8 +93,9 @@ RunOutcome run_msort(Runtime& rt, const MsortParams& params) {
   auto expect = gen_records(n, params.seed);
   std::sort(expect.begin(), expect.end());
   bool ok = true;
+  const std::vector<SortRecord> got = rt.host_read(vec);
   for (std::size_t i = 0; i < n; ++i) {
-    if (!(rt.host_read(vec, i) == expect[i])) {
+    if (!(got[i] == expect[i])) {
       ok = false;
       break;
     }

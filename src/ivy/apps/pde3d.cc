@@ -87,9 +87,9 @@ RunOutcome run_pde3d(Runtime& rt, const Pde3dParams& params) {
   const auto expect = pde3d_oracle(rhs_host, m, params.iterations);
   bool ok = true;
   double max_err = 0.0;
+  const std::vector<double> got = rt.host_read(u);
   for (std::size_t c = 0; c < cells; ++c) {
-    const double got = rt.host_read(u, c);
-    const double err = std::abs(got - expect[c]);
+    const double err = std::abs(got[c] - expect[c]);
     max_err = std::max(max_err, err);
     if (!(err <= 1e-12 + 1e-9 * std::abs(expect[c]))) ok = false;
   }

@@ -1,17 +1,17 @@
 // Wire messages of the simulated token ring.
 //
 // The network layer is deliberately ignorant of protocol semantics: a
-// Message carries an opaque kind, an opaque correlation id, a typed
-// payload (std::any — everything lives in one host address space, so
-// "serialization" is a byte count used purely for timing), and the
+// Message carries an opaque kind, an opaque correlation id, one
+// alternative of the closed net::Payload variant (payload.h; one host
+// address space, so "serialization" is a byte count for timing), and the
 // one-byte piggybacked load hint the paper describes ("this byte can be
 // packed into every message at almost no extra cost").
 #pragma once
 
-#include <any>
 #include <cstdint>
 
 #include "ivy/base/types.h"
+#include "ivy/net/payload.h"
 
 namespace ivy::net {
 
@@ -59,6 +59,15 @@ inline constexpr MsgKindName kMsgKindNames[] = {
     {MsgKind::kAllocRequest, "alloc_request"},
     {MsgKind::kFreeRequest, "free_request"},
 };
+inline constexpr std::size_t kMsgKinds = std::size(kMsgKindNames);
+
+/// Position of `kind` in kMsgKindNames (kMsgKinds if unlisted): per-kind
+/// tables index by it, so MsgKind values (traced) are never renumbered.
+[[nodiscard]] constexpr std::size_t kind_index(MsgKind kind) {
+  std::size_t i = 0;
+  while (i < kMsgKinds && kMsgKindNames[i].kind != kind) ++i;
+  return i;
+}
 
 [[nodiscard]] const char* to_string(MsgKind kind);
 
@@ -83,10 +92,10 @@ struct Message {
   /// answered, so a trailing copy of an answered send costs nothing.
   std::uint32_t attempt = 0;
 
-  std::any payload;
+  Payload payload;
 
-  /// Modeled payload size in bytes (drives ring timing).  Framing
-  /// overhead is added by the cost model.
+  /// Modeled payload size, net::wire_bytes(payload) as the rpc layer
+  /// stamps it (drives ring timing; the cost model adds framing).
   std::uint32_t wire_bytes = 0;
 
   /// Piggybacked scheduling hint: sender's current process count, as in

@@ -8,10 +8,8 @@
 namespace ivy::net {
 
 const char* to_string(MsgKind kind) {
-  for (const MsgKindName& k : kMsgKindNames) {
-    if (k.kind == kind) return k.name;
-  }
-  return "unknown";
+  const std::size_t i = kind_index(kind);
+  return i < kMsgKinds ? kMsgKindNames[i].name : "unknown";
 }
 
 Ring::Ring(sim::Simulator& sim, Stats& stats, NodeId nodes)

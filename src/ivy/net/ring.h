@@ -91,7 +91,6 @@ class Ring {
   [[nodiscard]] NodeId nodes() const {
     return static_cast<NodeId>(handlers_.size());
   }
-  [[nodiscard]] Time busy_until() const noexcept { return busy_until_; }
 
  private:
   /// Reports a transition to every consumer (event.cc).

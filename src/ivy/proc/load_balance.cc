@@ -21,7 +21,7 @@ void Scheduler::maybe_advertise_load() {
   if (!config_.load_balancing || advertise_armed_) return;
   if (proc_count_ <= config_.upper_threshold) return;
   advertise_armed_ = true;
-  rpc_.broadcast(net::MsgKind::kLoadHint, std::any{}, 8,
+  rpc_.broadcast(net::MsgKind::kLoadHint, net::EmptyPayload{},
                  rpc::BcastReply::kNone);
   sim_.schedule_after(config_.lb_interval, [this] {
     advertise_armed_ = false;
@@ -72,12 +72,11 @@ void Scheduler::null_tick() {
               << " for work (hint " << best << ")";
   emit({.kind = EventKind::kMigrateAsked, .peer = target});
   rpc_.request(
-      target, net::MsgKind::kMigrateAsk, MigrateAskPayload{slot.id},
-      MigrateAskPayload::kWireBytes,
+      target, net::MsgKind::kMigrateAsk, net::MigrateAskPayload{slot.id},
       [this, &slot, asked = sim_.now()](net::Message&& reply) {
         migrate_ask_inflight_ = false;
-        auto payload = std::any_cast<MigrateReplyPayload>(reply.payload);
-        if (payload.accepted) {
+        auto payload = std::get<net::MigrateReplyPayload>(reply.payload);
+        if (payload.transfer) {
           emit({.kind = EventKind::kMigratedIn, .id = slot.id.pcb_index,
                 .peer = reply.src, .start = asked});
           install_transfer(slot, std::move(*payload.transfer));

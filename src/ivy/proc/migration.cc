@@ -15,11 +15,11 @@
 namespace ivy::proc {
 
 void Scheduler::on_migrate_ask(net::Message&& msg) {
-  const auto ask = std::any_cast<MigrateAskPayload>(msg.payload);
+  const auto ask = std::get<net::MigrateAskPayload>(msg.payload);
 
   auto refuse = [&] {
     emit({.kind = EventKind::kMigrationRefused});
-    rpc_.reply_to(msg, MigrateReplyPayload{}, 16);
+    rpc_.reply_to(msg, net::MigrateReplyPayload{});
   };
 
   // "When such a number is greater than the upper threshold, the
@@ -74,10 +74,8 @@ void Scheduler::on_migrate_ask(net::Message&& msg) {
   IVY_DEBUG() << "node " << node_ << " migrates proc " << victim.id.pcb_index
               << " to node " << msg.origin;
 
-  MigrateReplyPayload reply;
-  reply.accepted = true;
-  reply.transfer = std::move(transfer);
-  rpc_.reply_to(msg, reply, reply.transfer->wire_bytes());
+  const std::uint32_t bytes = transfer->wire_bytes();
+  rpc_.reply_to(msg, net::MigrateReplyPayload{std::move(transfer), bytes});
 }
 
 void Scheduler::install_transfer(Pcb& slot, PcbTransfer&& transfer) {

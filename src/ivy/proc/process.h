@@ -94,23 +94,4 @@ struct PcbTransfer {
   }
 };
 
-// --- message payloads ------------------------------------------------------
-
-struct MigrateAskPayload {
-  /// Slot the idle requester reserved for the incoming process.
-  ProcId reserved;
-  static constexpr std::uint32_t kWireBytes = 16;
-};
-
-struct MigrateReplyPayload {
-  bool accepted = false;
-  std::shared_ptr<PcbTransfer> transfer;  ///< set when accepted
-};
-
-struct ResumePayload {
-  ProcId target;
-  std::uint32_t epoch = 0;
-  static constexpr std::uint32_t kWireBytes = 20;
-};
-
 }  // namespace ivy::proc

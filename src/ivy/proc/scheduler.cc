@@ -249,26 +249,25 @@ void Scheduler::resume(ProcId pid, std::uint32_t epoch) {
   }
   emit({.kind = EventKind::kRemoteWakeup});
   rpc_.request(pid.home, net::MsgKind::kRemoteResume,
-               ResumePayload{pid, epoch}, ResumePayload::kWireBytes,
-               [](net::Message&&) {});
+               net::ResumePayload{pid, epoch}, [](net::Message&&) {});
 }
 
 void Scheduler::on_resume_msg(net::Message&& msg) {
-  const auto payload = std::any_cast<ResumePayload>(msg.payload);
+  const auto payload = std::get<net::ResumePayload>(msg.payload);
   IVY_CHECK_EQ(payload.target.home, node_);
   Pcb& pcb = pcb_of(payload.target);
   if (pcb.state == ProcState::kMigrated) {
     // Keep the origin so the final node acknowledges the original
     // requester directly (the paper's forwarding mechanism).
     net::Message fwd = std::move(msg);
-    fwd.payload = ResumePayload{pcb.forward_to, payload.epoch};
+    fwd.payload = net::ResumePayload{pcb.forward_to, payload.epoch};
     svm_.rpc().forward(std::move(fwd), pcb.forward_to.home);
     return;
   }
   if (!(pcb.state == ProcState::kBlocked && payload.epoch != pcb.block_epoch)) {
     make_ready(pcb);
   }
-  rpc_.reply_to(msg, std::any{}, 8);
+  rpc_.reply_to(msg, net::EmptyPayload{});
 }
 
 }  // namespace ivy::proc

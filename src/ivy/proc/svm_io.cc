@@ -135,17 +135,16 @@ void defer_from_fiber(std::function<void()> fn) {
   sim.schedule_at(sim.now() + pcb->fiber->pending_charge(), std::move(fn));
 }
 
-net::Message blocking_request(NodeId dst, net::MsgKind kind, std::any payload,
-                              std::uint32_t wire_bytes) {
+net::Message blocking_request(NodeId dst, net::MsgKind kind,
+                              net::Payload payload) {
   Scheduler* sched = Scheduler::current_scheduler();
   Pcb* pcb = Scheduler::current_pcb();
   IVY_CHECK_MSG(pcb != nullptr, "blocking_request outside a process");
   // The locals live on the fiber stack, which stays alive while blocked.
   std::optional<net::Message> result;
-  Scheduler::block_current([sched, pcb, dst, kind,
-                            payload = std::move(payload), wire_bytes,
-                            &result]() mutable {
-    sched->rpc().request(dst, kind, std::move(payload), wire_bytes,
+  Scheduler::block_current([sched, pcb, dst, kind, &result,
+                            payload = std::move(payload)]() mutable {
+    sched->rpc().request(dst, kind, std::move(payload),
                          [sched, pcb, &result](net::Message&& reply) {
                            result = std::move(reply);
                            sched->make_ready(*pcb);

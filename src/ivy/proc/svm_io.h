@@ -109,7 +109,6 @@ void defer_from_fiber(std::function<void()> fn);
 /// Synchronous remote operation from inside a process: sends the request,
 /// blocks the process, returns the reply.
 [[nodiscard]] net::Message blocking_request(NodeId dst, net::MsgKind kind,
-                                            std::any payload,
-                                            std::uint32_t wire_bytes);
+                                            net::Payload payload);
 
 }  // namespace ivy::proc

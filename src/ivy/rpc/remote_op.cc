@@ -33,24 +33,21 @@ RemoteOp::RemoteOp(sim::Simulator& sim, net::Ring& ring, Stats& stats,
 }
 
 std::uint64_t RemoteOp::request(NodeId dst, net::MsgKind kind,
-                                std::any payload, std::uint32_t wire_bytes,
-                                ReplyCallback on_reply, Time timeout,
-                                FailureCallback on_fail) {
+                                net::Payload payload, ReplyCallback on_reply,
+                                Time timeout, FailureCallback on_fail) {
   IVY_CHECK(on_reply != nullptr);
   IVY_CHECK_NE(dst, self_);
-  return launch(new_request(dst, kind, std::move(payload), wire_bytes),
+  return launch(new_request(dst, kind, std::move(payload)),
                 {.on_reply = std::move(on_reply),
                  .on_fail = std::move(on_fail),
                  .timeout = timeout});
 }
 
-std::uint64_t RemoteOp::broadcast(net::MsgKind kind, std::any payload,
-                                  std::uint32_t wire_bytes, BcastReply scheme,
-                                  ReplyCallback on_first,
+std::uint64_t RemoteOp::broadcast(net::MsgKind kind, net::Payload payload,
+                                  BcastReply scheme, ReplyCallback on_first,
                                   AllRepliesCallback on_all, Time timeout,
                                   FailureCallback on_fail) {
-  net::Message msg =
-      new_request(kBroadcast, kind, std::move(payload), wire_bytes);
+  net::Message msg = new_request(kBroadcast, kind, std::move(payload));
   switch (scheme) {
     case BcastReply::kNone: {
       IVY_CHECK(on_first == nullptr && on_all == nullptr);
@@ -75,7 +72,7 @@ std::uint64_t RemoteOp::broadcast(net::MsgKind kind, std::any payload,
 }
 
 std::uint64_t RemoteOp::multicast(NodeSet targets, net::MsgKind kind,
-                                  std::any payload, std::uint32_t wire_bytes,
+                                  net::Payload payload,
                                   AllRepliesCallback on_all, Time timeout,
                                   FailureCallback on_fail,
                                   bool deliver_to_all) {
@@ -83,7 +80,7 @@ std::uint64_t RemoteOp::multicast(NodeSet targets, net::MsgKind kind,
   IVY_CHECK(!targets.empty());
   IVY_CHECK(!targets.contains(self_));
   net::Message msg = new_request(deliver_to_all ? kBroadcast : kMulticast,
-                                 kind, std::move(payload), wire_bytes);
+                                 kind, std::move(payload));
   msg.mcast = targets;
   const auto expected = static_cast<std::uint32_t>(targets.count());
   return launch(std::move(msg), {.on_all = std::move(on_all),
@@ -93,11 +90,10 @@ std::uint64_t RemoteOp::multicast(NodeSet targets, net::MsgKind kind,
 }
 
 net::Message RemoteOp::new_request(NodeId dst, net::MsgKind kind,
-                                   std::any payload,
-                                   std::uint32_t wire_bytes) {
+                                   net::Payload payload) {
+  const std::uint32_t bytes = net::wire_bytes(payload);
   return {.src = self_, .dst = dst, .kind = kind, .rpc_id = next_rpc_id_++,
-          .origin = self_, .payload = std::move(payload),
-          .wire_bytes = wire_bytes};
+          .origin = self_, .payload = std::move(payload), .wire_bytes = bytes};
 }
 
 std::uint64_t RemoteOp::launch(net::Message msg, Outstanding out) {
@@ -114,30 +110,33 @@ std::uint64_t RemoteOp::launch(net::Message msg, Outstanding out) {
 
 void RemoteOp::set_handler(net::MsgKind kind, ServerHandler handler) {
   IVY_CHECK(handler != nullptr);
-  handlers_[kind] = std::move(handler);
+  const std::size_t i = net::kind_index(kind);
+  IVY_CHECK_LT(i, net::kMsgKinds);
+  handlers_[i] = std::move(handler);
 }
 
-void RemoteOp::reply_to(const net::Message& req, std::any payload,
-                        std::uint32_t wire_bytes, SentCallback on_sent) {
-  reply(reply_later(req), std::move(payload), wire_bytes, std::move(on_sent));
+void RemoteOp::reply_to(const net::Message& req, net::Payload payload,
+                        SentCallback on_sent) {
+  reply(reply_later(req), std::move(payload), std::move(on_sent));
 }
 
-void RemoteOp::reply(const PendingReply& pending, std::any payload,
-                     std::uint32_t wire_bytes, SentCallback on_sent) {
+void RemoteOp::reply(const PendingReply& pending, net::Payload payload,
+                     SentCallback on_sent) {
   const std::uint64_t key = dedup_key(pending.origin, pending.rpc_id);
   in_progress_.erase(key);
   // Cache the reply so a retransmission can be answered without
   // re-executing the operation ("resend replies only when necessary").
-  done_cache_.push_back(DoneEntry{key, payload, wire_bytes, pending.kind,
-                                  pending.origin, pending.attempt});
+  done_cache_.push_back(DoneEntry{key, payload, pending.kind, pending.origin,
+                                  pending.attempt});
   std::uint64_t& high = done_high_[pending.origin];
   high = std::max(high, pending.rpc_id);
   while (done_cache_.size() > done_cache_capacity_) evict_done_front();
 
+  const std::uint32_t bytes = net::wire_bytes(payload);
   net::Message msg{.src = self_, .dst = pending.origin, .kind = pending.kind,
                    .rpc_id = pending.rpc_id, .origin = pending.origin,
                    .is_reply = true, .payload = std::move(payload),
-                   .wire_bytes = wire_bytes};
+                   .wire_bytes = bytes};
   emit({.kind = EventKind::kReplySent, .rpc_id = pending.rpc_id,
         .peer = pending.origin, .msg = pending.kind});
   // Model the server-side software time before the reply hits the wire.
@@ -205,7 +204,9 @@ void RemoteOp::transmit(net::Message msg) {
 void RemoteOp::set_orphan_reply_handler(net::MsgKind kind,
                                         ServerHandler handler) {
   IVY_CHECK(handler != nullptr);
-  orphan_handlers_[kind] = std::move(handler);
+  const std::size_t i = net::kind_index(kind);
+  IVY_CHECK_LT(i, net::kMsgKinds);
+  orphan_handlers_[i] = std::move(handler);
 }
 
 void RemoteOp::handle_reply(net::Message&& msg) {
@@ -224,9 +225,9 @@ void RemoteOp::handle_reply(net::Message&& msg) {
           .peer = msg.src});
     // Late duplicate.  Give resource-bearing replies a chance to be
     // absorbed; drop the rest.
-    if (auto oh = orphan_handlers_.find(msg.kind);
-        oh != orphan_handlers_.end()) {
-      oh->second(std::move(msg));
+    if (const std::size_t i = net::kind_index(msg.kind);
+        i < net::kMsgKinds && orphan_handlers_[i]) {
+      orphan_handlers_[i](std::move(msg));
     }
     return;
   }
@@ -282,7 +283,7 @@ void RemoteOp::handle_request(net::Message&& msg) {
       transmit({.src = self_, .dst = done.origin, .kind = done.kind,
                 .rpc_id = msg.rpc_id, .origin = done.origin,
                 .is_reply = true, .payload = done.payload,
-                .wire_bytes = done.wire_bytes});
+                .wire_bytes = net::wire_bytes(done.payload)});
       return;
     }
   }
@@ -297,11 +298,11 @@ void RemoteOp::handle_request(net::Message&& msg) {
     emit({.kind = EventKind::kDupReexecuted});
   }
 
-  auto it = handlers_.find(msg.kind);
-  IVY_CHECK_MSG(it != handlers_.end(),
+  const std::size_t i = net::kind_index(msg.kind);
+  IVY_CHECK_MSG(i < net::kMsgKinds && handlers_[i] != nullptr,
                 "node " << self_ << " has no handler for "
                         << net::to_string(msg.kind));
-  it->second(std::move(msg));
+  handlers_[i](std::move(msg));
 }
 
 void RemoteOp::arm_retransmit_timer() {

@@ -36,10 +36,12 @@
 // simulator events at message-delivery time (IVY's handlers ran at
 // interrupt level); a handler may answer immediately, defer the reply by
 // keeping a PendingReply handle (used by per-page request queues), or
-// forward the request.
+// forward the request.  No entry point takes a byte count: new_request()
+// and reply() stamp Message::wire_bytes from the net::Payload, whose
+// sizes are stated once, in net/payload.h.
 #pragma once
 
-#include <any>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -127,15 +129,14 @@ class RemoteOp {
   /// (0 = use the default).  `on_fail` (optional) fires instead of
   /// `on_reply` if the retransmission cap is reached; without one the
   /// node-level failure handler runs, and without that the run aborts.
-  std::uint64_t request(NodeId dst, net::MsgKind kind, std::any payload,
-                        std::uint32_t wire_bytes, ReplyCallback on_reply,
-                        Time timeout = 0, FailureCallback on_fail = nullptr);
+  std::uint64_t request(NodeId dst, net::MsgKind kind, net::Payload payload,
+                        ReplyCallback on_reply, Time timeout = 0,
+                        FailureCallback on_fail = nullptr);
 
   /// Broadcasts a request.  For kAny, `on_reply` fires once with the
   /// first reply; for kNone neither callback may be given.
-  std::uint64_t broadcast(net::MsgKind kind, std::any payload,
-                          std::uint32_t wire_bytes, BcastReply scheme,
-                          ReplyCallback on_first = nullptr,
+  std::uint64_t broadcast(net::MsgKind kind, net::Payload payload,
+                          BcastReply scheme, ReplyCallback on_first = nullptr,
                           AllRepliesCallback on_all = nullptr,
                           Time timeout = 0, FailureCallback on_fail = nullptr);
 
@@ -146,9 +147,8 @@ class RemoteOp {
   /// copies it) but still only `targets.count()` replies complete the
   /// round — receivers outside `targets` are expected to ignore() it.
   std::uint64_t multicast(NodeSet targets, net::MsgKind kind,
-                          std::any payload, std::uint32_t wire_bytes,
-                          AllRepliesCallback on_all, Time timeout = 0,
-                          FailureCallback on_fail = nullptr,
+                          net::Payload payload, AllRepliesCallback on_all,
+                          Time timeout = 0, FailureCallback on_fail = nullptr,
                           bool deliver_to_all = false);
 
   /// Abandons an outstanding request: no callback will fire and no
@@ -172,16 +172,16 @@ class RemoteOp {
 
   /// Replies to `req` immediately (charges server handling time first).
   /// `on_sent` (optional) runs as the reply frame goes on the ring.
-  void reply_to(const net::Message& req, std::any payload,
-                std::uint32_t wire_bytes, SentCallback on_sent = nullptr);
+  void reply_to(const net::Message& req, net::Payload payload,
+                SentCallback on_sent = nullptr);
 
   /// Captures a deferred-reply handle; the handler returns without
   /// answering and some later event calls reply().
   [[nodiscard]] static PendingReply reply_later(const net::Message& req) {
     return PendingReply{req.origin, req.rpc_id, req.kind, req.attempt};
   }
-  void reply(const PendingReply& pending, std::any payload,
-             std::uint32_t wire_bytes, SentCallback on_sent = nullptr);
+  void reply(const PendingReply& pending, net::Payload payload,
+             SentCallback on_sent = nullptr);
 
   /// Declares that this node will never answer `req` (e.g. a broadcast
   /// owner probe received by a non-owner).  Clears the duplicate marker
@@ -251,8 +251,7 @@ class RemoteOp {
 
   struct DoneEntry {
     std::uint64_t key = 0;
-    std::any payload;
-    std::uint32_t wire_bytes = 0;
+    net::Payload payload;
     net::MsgKind kind = net::MsgKind::kInvalid;
     NodeId origin = kNoNode;
     std::uint32_t attempt = 0;  ///< highest send attempt answered
@@ -261,8 +260,8 @@ class RemoteOp {
   /// Reports a transition to every consumer (event.cc).
   void emit(const Event& e);
   /// A fresh request from this node, under a new rpc id.
-  net::Message new_request(NodeId dst, net::MsgKind kind, std::any payload,
-                           std::uint32_t wire_bytes);
+  net::Message new_request(NodeId dst, net::MsgKind kind,
+                           net::Payload payload);
   /// Registers `out` as the request's client state and sends it.
   std::uint64_t launch(net::Message msg, Outstanding out);
   void transmit(net::Message msg);
@@ -288,8 +287,9 @@ class RemoteOp {
 
   std::uint64_t next_rpc_id_;
   std::unordered_map<std::uint64_t, Outstanding> outstanding_;
-  std::unordered_map<net::MsgKind, ServerHandler> handlers_;
-  std::unordered_map<net::MsgKind, ServerHandler> orphan_handlers_;
+  /// Indexed by net::kind_index: dispatch reads an array, not a hash.
+  std::array<ServerHandler, net::kMsgKinds> handlers_{};
+  std::array<ServerHandler, net::kMsgKinds> orphan_handlers_{};
 
   // Duplicate-request suppression: in-progress set + bounded cache of
   // completed replies ("resend replies only when necessary").

@@ -83,6 +83,14 @@ class Runtime {
   [[nodiscard]] T host_read(const SharedArray<T>& arr, std::size_t i) {
     return host_read<T>(arr.address_of(i));
   }
+  /// The whole array in one host_read_bytes pass (one drain, one owner
+  /// lookup per page rather than per element).
+  template <typename T>
+  [[nodiscard]] std::vector<T> host_read(const SharedArray<T>& arr) {
+    std::vector<T> values(arr.size());
+    host_read_bytes(arr.address(), std::as_writable_bytes(std::span(values)));
+    return values;
+  }
   template <typename T>
   void host_write(SvmAddr addr, const T& v) {
     host_write_bytes(addr, std::as_bytes(std::span(&v, 1)));

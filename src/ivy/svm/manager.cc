@@ -47,7 +47,7 @@ bool Manager::try_local_write_upgrade(PageId page) {
 }
 
 void Manager::on_fault_request(net::Message&& msg) {
-  const auto payload = std::any_cast<FaultPayload>(msg.payload);
+  const auto payload = std::get<net::FaultPayload>(msg.payload);
   const PageId page = payload.page;
   PageEntry& entry = svm_.table().at(page);
 
@@ -106,7 +106,7 @@ void Manager::on_fault_request(net::Message&& msg) {
     // broadcast probe reaches here only at an owner, and its held copy
     // becomes the request's only live copy.
     if (payload.broadcast) {
-      FaultPayload held = payload;
+      net::FaultPayload held = payload;
       held.broadcast = false;
       held.held = true;
       msg.payload = held;
@@ -149,18 +149,16 @@ void Manager::serve_read(net::Message&& msg, PageId page) {
   entry.access = Access::kRead;
   entry.copyset.add(msg.origin);
 
-  GrantPayload grant;
-  grant.page = page;
-  grant.version = entry.version;
-  grant.write_grant = false;
-  grant.body = svm_.snapshot(page);  // a read fault always wants the data
+  // A read fault always wants the data.
+  const net::GrantPayload grant{
+      .page = page, .body = svm_.snapshot(page), .version = entry.version};
   svm_.emit({.kind = EventKind::kReadServed, .page = page, .peer = msg.origin,
              .version = entry.version, .body = Body::kShipped});
-  svm_.rpc().reply_to(msg, grant, grant.wire_bytes());
+  svm_.rpc().reply_to(msg, grant);
 }
 
 void Manager::serve_write(net::Message&& msg, PageId page) {
-  const auto payload = std::any_cast<FaultPayload>(msg.payload);
+  const auto payload = std::get<net::FaultPayload>(msg.payload);
   PageEntry& entry = svm_.table().at(page);
   IVY_CHECK(entry.owned && !entry.on_disk);
 
@@ -179,12 +177,11 @@ void Manager::serve_write(net::Message&& msg, PageId page) {
   // on_fault_request).  A valid copy makes it an in-place upgrade: only
   // the 32-byte header travels.
   note_write_grant(page, msg.origin);
-  const GrantPayload grant = svm_.begin_pending_transfer(
+  const net::GrantPayload grant = svm_.begin_pending_transfer(
       page, msg.origin, entry.version, requester_copy_valid);
-  svm_.rpc().reply_to(msg, grant, grant.wire_bytes(),
-                      [this, page, version = entry.version] {
-                        svm_.note_grant_sent(page, version);
-                      });
+  svm_.rpc().reply_to(msg, grant, [this, page, version = entry.version] {
+    svm_.note_grant_sent(page, version);
+  });
   // A bodyless grant still puts the held image at stake: the requester's
   // surviving copy must match it.
   svm_.emit({.kind = EventKind::kWriteServed, .page = page, .peer = msg.origin,
@@ -193,7 +190,7 @@ void Manager::serve_write(net::Message&& msg, PageId page) {
 }
 
 void Manager::on_grant(net::Message&& reply) {
-  const auto grant = std::any_cast<GrantPayload>(reply.payload);
+  const auto grant = std::get<net::GrantPayload>(reply.payload);
   const PageId page = grant.page;
   PageEntry& entry = svm_.table().at(page);
   // complete_fault cancels the fault's request, so a reply that outlives
@@ -260,31 +257,25 @@ void Manager::retry_fault(PageId page, net::MsgKind kind) {
   }
 }
 
+net::FaultPayload Manager::fault_request(PageId page, bool broadcast) {
+  const PageEntry& entry = svm_.table().at(page);
+  return {.page = page, .has_copy = entry.access == Access::kRead,
+          .hint = entry.prob_owner, .broadcast = broadcast,
+          .copy_version = entry.version};
+}
+
 void Manager::broadcast_locate(PageId page, net::MsgKind kind) {
-  PageEntry& entry = svm_.table().at(page);
-  FaultPayload payload;
-  payload.page = page;
-  payload.has_copy = entry.access == Access::kRead;
-  payload.hint = entry.prob_owner;
-  payload.broadcast = true;
-  payload.copy_version = entry.version;
   // A locate runs only after the hints failed (the request bounced, or
   // was lost to poisoned routing state), so it retries briskly.
-  entry.fault_rpc = svm_.rpc().broadcast(
-      kind, payload, FaultPayload::kWireBytes, rpc::BcastReply::kAny,
+  svm_.table().at(page).fault_rpc = svm_.rpc().broadcast(
+      kind, fault_request(page, true), rpc::BcastReply::kAny,
       [this](net::Message&& reply) { on_grant(std::move(reply)); }, nullptr,
       ms(50), relocate_on_failure(page));
 }
 
 void Manager::send_fault(NodeId dst, PageId page, net::MsgKind kind) {
-  PageEntry& entry = svm_.table().at(page);
-  FaultPayload payload;
-  payload.page = page;
-  payload.has_copy = entry.access == Access::kRead;
-  payload.hint = entry.prob_owner;
-  payload.copy_version = entry.version;
-  entry.fault_rpc = svm_.rpc().request(
-      dst, kind, payload, FaultPayload::kWireBytes,
+  svm_.table().at(page).fault_rpc = svm_.rpc().request(
+      dst, kind, fault_request(page, false),
       [this](net::Message&& reply) { on_grant(std::move(reply)); },
       /*timeout=*/0, relocate_on_failure(page));
 }

@@ -99,6 +99,8 @@ class Manager {
   /// Builds and sends the fault request for this node's outstanding
   /// fault, wiring the reply into on_grant().
   void send_fault(NodeId dst, PageId page, net::MsgKind kind);
+  /// The request of this node's outstanding fault on `page`.
+  [[nodiscard]] net::FaultPayload fault_request(PageId page, bool broadcast);
 
   /// Failure callback attached to every fault request.  Retransmission
   /// makes individual frame losses survivable, but a lost *grant* whose

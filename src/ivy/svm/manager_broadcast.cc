@@ -16,15 +16,8 @@ namespace ivy::svm {
 
 void BroadcastManager::route_initial(PageId page, net::MsgKind kind) {
   IVY_CHECK_GT(svm_.nodes(), 1u);
-  PageEntry& entry = svm_.table().at(page);
-  FaultPayload payload;
-  payload.page = page;
-  payload.has_copy = entry.access == Access::kRead;
-  payload.hint = entry.prob_owner;
-  payload.broadcast = true;
-  payload.copy_version = entry.version;
-  entry.fault_rpc = svm_.rpc().broadcast(
-      kind, payload, FaultPayload::kWireBytes, rpc::BcastReply::kAny,
+  svm_.table().at(page).fault_rpc = svm_.rpc().broadcast(
+      kind, fault_request(page, true), rpc::BcastReply::kAny,
       [this](net::Message&& reply) { on_grant(std::move(reply)); });
 }
 

@@ -34,14 +34,11 @@ void DynamicDistributedManager::route_request(net::Message&& msg,
     // Distribution of copy sets: a copy holder serves the read itself
     // and remembers the reader as its child in the copy tree.
     entry.copyset.add(msg.origin);
-    GrantPayload grant;
-    grant.page = page;
-    grant.version = entry.version;
-    grant.write_grant = false;
-    grant.body = svm_.snapshot(page);
+    const net::GrantPayload grant{
+        .page = page, .body = svm_.snapshot(page), .version = entry.version};
     svm_.emit({.kind = EventKind::kReadServed, .page = page, .peer = msg.origin,
                .version = entry.version, .body = Body::kShipped});
-    svm_.rpc().reply_to(msg, grant, grant.wire_bytes());
+    svm_.rpc().reply_to(msg, grant);
     return;
   }
   const NodeId next = entry.prob_owner;

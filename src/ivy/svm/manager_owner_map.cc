@@ -62,7 +62,7 @@ void OwnerMapManager::route_request(net::Message&& msg, PageId page) {
   NodeId next = kNoNode;
   if (manager_of(page) == svm_.self()) {
     next = manage(page, msg.kind, msg.origin);
-    if (next == kNoNode) next = std::any_cast<FaultPayload>(msg.payload).hint;
+    if (next == kNoNode) next = std::get<net::FaultPayload>(msg.payload).hint;
     if (next == svm_.self() || next == kNoNode) {
       // The map (or the requester's hint) points at us, but we are not
       // the owner — stale bookkeeping after an aborted transfer.  Chase

@@ -50,16 +50,15 @@ Svm::Svm(sim::Simulator& sim, rpc::RemoteOp& rpc, Stats& stats, NodeId self,
   // Ownership is a conserved token: a grant that raced past its (already
   // answered) request must be absorbed, not dropped.
   auto orphan = [this](net::Message&& msg) {
-    absorb_grant(std::any_cast<GrantPayload>(msg.payload), msg.src);
+    absorb_grant(std::get<net::GrantPayload>(msg.payload), msg.src);
   };
   rpc_.set_orphan_reply_handler(net::MsgKind::kReadFault, orphan);
   rpc_.set_orphan_reply_handler(net::MsgKind::kWriteFault, orphan);
-  rpc_.set_handler(net::MsgKind::kInvalidate, [this](net::Message&& msg) {
+  auto invalidate = [this](net::Message&& msg) {
     on_invalidate(std::move(msg));
-  });
-  rpc_.set_handler(net::MsgKind::kInvalidateBcast, [this](net::Message&& msg) {
-    on_invalidate(std::move(msg));
-  });
+  };
+  rpc_.set_handler(net::MsgKind::kInvalidate, invalidate);
+  rpc_.set_handler(net::MsgKind::kInvalidateBcast, invalidate);
   rpc_.set_handler(net::MsgKind::kGrantAck, [this](net::Message&& msg) {
     on_grant_ack(std::move(msg));
   });
@@ -180,13 +179,13 @@ void Svm::begin_disk_restore(PageId page) {
   });
 }
 
-PageBody Svm::snapshot(PageId page) {
+net::PageBody Svm::snapshot(PageId page) {
   const std::byte* bytes = usable_frame(page);
   return std::make_shared<const std::vector<std::byte>>(
       bytes, bytes + options_.geo.page_size);
 }
 
-void Svm::install_body(PageId page, const PageBody& body) {
+void Svm::install_body(PageId page, const net::PageBody& body) {
   if (body == nullptr) {
     // Ownership-only grant: we promised we still hold a valid copy.
     IVY_CHECK_MSG(pool_.resident(page),
@@ -297,14 +296,13 @@ void Svm::invalidate_copies(PageId page, std::function<void()> done) {
           .start = start, .copies = copies});
     done();
   };
-  const InvalidatePayload payload{page, self_, version, copyset};
+  const net::InvalidatePayload payload{page, self_, version, copyset};
 
   if (!multicast_round(copies)) {
     // A single holder: a unicast is already one frame.
     NodeId member = kNoNode;
     copyset.for_each([&](NodeId n) { member = n; });
     rpc_.request(member, net::MsgKind::kInvalidate, payload,
-                 InvalidatePayload::kWireBytes,
                  [done = std::move(done)](net::Message&&) { done(); });
     return;
   }
@@ -318,7 +316,7 @@ void Svm::invalidate_copies(PageId page, std::function<void()> done) {
                  options_.broadcast_invalidation
                      ? net::MsgKind::kInvalidateBcast
                      : net::MsgKind::kInvalidate,
-                 payload, InvalidatePayload::kWireBytes,
+                 payload,
                  [done = std::move(done)](std::vector<net::Message>&&) {
                    done();
                  },
@@ -340,12 +338,12 @@ void Svm::invalidate_for_write(PageId page) {
 }
 
 void Svm::on_invalidate(net::Message&& msg) {
-  const auto payload = std::any_cast<InvalidatePayload>(msg.payload);
-  if (!payload.copyset.empty() && !payload.copyset.contains(self_)) {
-    // Copyset-addressed round reaching a bystander (a broadcast frame
-    // every station copies): apply nothing and send no ack.  An ack here
-    // would count toward the round's expected replies and could complete
-    // it before a real holder was invalidated — a transient stale read.
+  const auto payload = std::get<net::InvalidatePayload>(msg.payload);
+  if (!payload.copyset.contains(self_)) {
+    // A bystander of the round (a broadcast frame every station copies):
+    // apply nothing and send no ack.  An ack here would count toward the
+    // round's expected replies and could complete it before a real holder
+    // was invalidated — a transient stale read.
     rpc_.ignore(msg);
     return;
   }
@@ -368,15 +366,15 @@ void Svm::on_invalidate(net::Message&& msg) {
       const auto pending = rpc::RemoteOp::reply_later(msg);
       invalidate_copies(payload.page, [this, pending, page = payload.page] {
         table_.at(page).copyset.clear();
-        rpc_.reply(pending, AckPayload{page}, AckPayload::kWireBytes);
+        rpc_.reply(pending, net::AckPayload{page});
       });
       return;
     }
   }
-  rpc_.reply_to(msg, AckPayload{payload.page}, AckPayload::kWireBytes);
+  rpc_.reply_to(msg, net::AckPayload{payload.page});
 }
 
-bool Svm::absorb_grant(const GrantPayload& grant, NodeId from,
+bool Svm::absorb_grant(const net::GrantPayload& grant, NodeId from,
                        bool answers_fault) {
   if (!grant.write_grant) return false;  // read copies carry no resource
   PageEntry& entry = table_.at(grant.page);
@@ -446,15 +444,15 @@ bool Svm::absorb_grant(const GrantPayload& grant, NodeId from,
   return true;
 }
 
-GrantPayload Svm::begin_pending_transfer(PageId page, NodeId to,
-                                         std::uint64_t version,
-                                         bool bodyless) {
+net::GrantPayload Svm::begin_pending_transfer(PageId page, NodeId to,
+                                              std::uint64_t version,
+                                              bool bodyless) {
   PageEntry& entry = table_.at(page);
   IVY_CHECK(entry.owned);
   IVY_CHECK(!entry.fault_in_progress);
   const PendingTransfer& pending = pending_transfers_[page] = PendingTransfer{
       .to = to, .version = version, .bodyless = bodyless};
-  GrantPayload grant = write_grant(page, pending);
+  net::GrantPayload grant = write_grant(page, pending);
   // Hold the token (and the data) until the new owner confirms; defer
   // every request meanwhile via the fault-in-progress machinery.
   entry.access = Access::kNil;
@@ -467,12 +465,9 @@ GrantPayload Svm::begin_pending_transfer(PageId page, NodeId to,
   return grant;
 }
 
-GrantPayload Svm::write_grant(PageId page, const PendingTransfer& pending) {
-  GrantPayload grant;
-  grant.page = page;
-  grant.version = pending.version;
-  grant.write_grant = true;
-  grant.copyset = table_.at(page).copyset;
+net::GrantPayload Svm::write_grant(PageId page, const PendingTransfer& pending) {
+  net::GrantPayload grant{.page = page, .copyset = table_.at(page).copyset,
+                          .version = pending.version, .write_grant = true};
   grant.copyset.remove(pending.to);
   // A bodyless grant stays bodyless on every resend and re-offer: the
   // target's read copy is pinned by its outstanding fault (busy pages
@@ -517,7 +512,7 @@ void Svm::push_pending_grant(PageId page) {
   auto it = pending_transfers_.find(page);
   IVY_CHECK(it != pending_transfers_.end());
   PendingTransfer& pending = it->second;
-  const GrantPayload grant = write_grant(page, pending);
+  const net::GrantPayload grant = write_grant(page, pending);
   pending.push_in_flight = true;
   emit({.kind = EventKind::kGrantReoffered, .page = page, .peer = pending.to,
         .version = pending.version});
@@ -530,18 +525,17 @@ void Svm::push_pending_grant(PageId page) {
     }
   };
   rpc_.request(pending.to, net::MsgKind::kGrantPush, grant,
-               grant.wire_bytes(),
                [clear](net::Message&&) { clear(); },
                /*timeout=*/0, [clear](const rpc::RequestFailure&) { clear(); });
 }
 
 void Svm::on_grant_push(net::Message&& msg) {
-  const auto grant = std::any_cast<GrantPayload>(msg.payload);
+  const auto grant = std::get<net::GrantPayload>(msg.payload);
   // absorb_grant adopts or rejects the offer and sends the kGrantAck that
   // settles the pusher's pending transfer; the push reply itself only
   // confirms delivery.
   absorb_grant(grant, msg.origin);
-  rpc_.reply_to(msg, AckPayload{grant.page}, AckPayload::kWireBytes);
+  rpc_.reply_to(msg, net::AckPayload{grant.page});
 }
 
 void Svm::send_grant_ack(NodeId to, PageId page, std::uint64_t version,
@@ -559,8 +553,7 @@ void Svm::send_grant_ack(NodeId to, PageId page, std::uint64_t version,
     }
   }
   rpc_.request(to, net::MsgKind::kGrantAck,
-               GrantAckPayload{page, version, accept},
-               GrantAckPayload::kWireBytes,
+               net::GrantAckPayload{page, version, accept},
                [this, page, version, accept](net::Message&&) {
                  if (accept) table_.confirm_accept(page, version);
                },
@@ -572,13 +565,13 @@ void Svm::send_grant_ack(NodeId to, PageId page, std::uint64_t version,
 }
 
 void Svm::on_grant_ack(net::Message&& msg) {
-  const auto ack = std::any_cast<GrantAckPayload>(msg.payload);
+  const auto ack = std::get<net::GrantAckPayload>(msg.payload);
   auto it = pending_transfers_.find(ack.page);
   if (it == pending_transfers_.end() || it->second.version != ack.version) {
     // Duplicate ack for an already-settled transfer.
     IVY_DEBUG() << "node " << self_ << " ignores settled grant-ack for page "
                 << ack.page << " v" << ack.version << " accept=" << ack.accept;
-    rpc_.reply_to(msg, AckPayload{ack.page}, AckPayload::kWireBytes);
+    rpc_.reply_to(msg, net::AckPayload{ack.page});
     return;
   }
   IVY_DEBUG() << "node " << self_ << " grant-ack for page " << ack.page
@@ -611,27 +604,27 @@ void Svm::on_grant_ack(net::Message&& msg) {
           .peer = it->second.to, .version = ack.version});
   }
   pending_transfers_.erase(it);
-  rpc_.reply_to(msg, AckPayload{ack.page}, AckPayload::kWireBytes);
+  rpc_.reply_to(msg, net::AckPayload{ack.page});
   complete_fault(ack.page);  // replay everything deferred meanwhile
 }
 
 bool Svm::resend_pending_grant(const net::Message& msg) {
   if (msg.kind != net::MsgKind::kWriteFault) return false;
-  const auto payload = std::any_cast<FaultPayload>(msg.payload);
+  const auto payload = std::get<net::FaultPayload>(msg.payload);
   auto it = pending_transfers_.find(payload.page);
   if (it == pending_transfers_.end() || it->second.to != msg.origin) {
     return false;
   }
   // The grant (or its cached resend) was lost; rebuild it from the held
   // state.
-  const GrantPayload grant = write_grant(payload.page, it->second);
+  const net::GrantPayload grant = write_grant(payload.page, it->second);
   IVY_DEBUG() << "node " << self_ << " resends pending grant of page "
               << payload.page << " v" << it->second.version << " to "
               << msg.origin << (it->second.bodyless ? " (bodyless)" : "");
   emit({.kind = EventKind::kGrantResent, .page = payload.page,
         .peer = msg.origin, .version = it->second.version,
         .body = it->second.bodyless ? Body::kElided : Body::kShipped});
-  rpc_.reply_to(msg, grant, grant.wire_bytes());
+  rpc_.reply_to(msg, grant);
   return true;
 }
 

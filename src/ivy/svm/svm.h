@@ -22,7 +22,6 @@
 #include "ivy/rpc/remote_op.h"
 #include "ivy/svm/event.h"
 #include "ivy/svm/page_table.h"
-#include "ivy/svm/protocol.h"
 
 namespace ivy::svm {
 
@@ -71,7 +70,7 @@ struct PageTransfer {
   PageId page = kNoPage;
   std::uint64_t version = 0;
   NodeSet copyset;
-  PageBody body;  ///< null when only ownership (not contents) moves
+  net::PageBody body;  ///< null when only ownership (not contents) moves
   /// True when the body was requested but elided because the receiver
   /// already holds a valid read copy at the current version (adopt_page
   /// then requires a resident local frame).  False for body == nullptr
@@ -173,10 +172,10 @@ class Svm {
   void begin_disk_restore(PageId page);
 
   /// Snapshot of the current frame contents as a message body.
-  [[nodiscard]] PageBody snapshot(PageId page);
+  [[nodiscard]] net::PageBody snapshot(PageId page);
 
   /// Copies a granted body into the local frame.
-  void install_body(PageId page, const PageBody& body);
+  void install_body(PageId page, const net::PageBody& body);
 
   /// Finishes an outstanding local fault: clears the flag, resumes local
   /// waiters, replays deferred remote requests.
@@ -208,7 +207,7 @@ class Svm {
   /// colliding or bodyless-without-copy grant is rejected, and any other
   /// is adopted and acked.  The answer to a fault then takes write access
   /// through invalidate_for_write.  Returns true only on adoption.
-  bool absorb_grant(const GrantPayload& grant, NodeId from,
+  bool absorb_grant(const net::GrantPayload& grant, NodeId from,
                     bool answers_fault = false);
 
   // --- two-phase ownership transfer ---------------------------------------
@@ -218,9 +217,8 @@ class Svm {
   /// returns the grant for Manager::serve_write to send.  `bodyless`
   /// records that the requester holds a valid copy, so this grant and
   /// every resend and re-offer of it elide the page body.
-  [[nodiscard]] GrantPayload begin_pending_transfer(PageId page, NodeId to,
-                                                    std::uint64_t version,
-                                                    bool bodyless);
+  [[nodiscard]] net::GrantPayload begin_pending_transfer(
+      PageId page, NodeId to, std::uint64_t version, bool bodyless);
 
   /// Old-owner side: the grant of the pending transfer of `page` at
   /// `version` went on the ring (wired to the grant reply's on-sent
@@ -299,8 +297,8 @@ class Svm {
   /// The write grant of a pending transfer of `page`: its version, the
   /// copyset minus the target, and the body unless bodyless.  Every send
   /// of the grant (serve, resend, re-offer) is built here.
-  [[nodiscard]] GrantPayload write_grant(PageId page,
-                                         const PendingTransfer& pending);
+  [[nodiscard]] net::GrantPayload write_grant(
+      PageId page, const PendingTransfer& pending);
 
   /// Old-owner liveness for the two-phase transfer: the grant travels as
   /// an rpc *reply*, which is only re-driven by the requester's

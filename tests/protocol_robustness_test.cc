@@ -283,13 +283,14 @@ TEST(RpcCancel, CancelledRequestFiresNoCallbackAndOrphansReply) {
   rpc::RemoteOp a(sim, ring, stats, 0);
   rpc::RemoteOp b(sim, ring, stats, 1);
   b.set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
-    b.reply_to(msg, 123, 8);
+    b.reply_to(msg, net::EmptyPayload{});
   });
   bool fired = false;
   bool orphaned = false;
   a.set_orphan_reply_handler(net::MsgKind::kAllocRequest,
                              [&](net::Message&&) { orphaned = true; });
-  const auto id = a.request(1, net::MsgKind::kAllocRequest, 0, 8,
+  const auto id = a.request(1, net::MsgKind::kAllocRequest,
+                            net::EmptyPayload{},
                             [&](net::Message&&) { fired = true; });
   a.cancel(id);
   sim.run_until_idle();

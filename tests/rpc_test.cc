@@ -3,14 +3,23 @@
 // "resend replies only when necessary", and orphan-reply absorption.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
+#include "ivy/proc/process.h"
 #include "ivy/rpc/remote_op.h"
 
 namespace ivy::rpc {
 namespace {
 
-struct Payload {
-  int value = 0;
-};
+// Requests and replies here carry a test value in an 8-byte
+// acknowledgement payload.
+net::Payload carrying(int value) {
+  return net::AckPayload{static_cast<PageId>(value)};
+}
+int value_of(const net::Message& msg) {
+  return static_cast<int>(std::get<net::AckPayload>(msg.payload).page);
+}
 
 class RpcTest : public testing::Test {
  protected:
@@ -34,13 +43,12 @@ TEST_F(RpcTest, RequestReplyRoundtrip) {
   int served = 0;
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
-    const auto p = std::any_cast<Payload>(msg.payload);
-    op(1).reply_to(msg, Payload{p.value * 2}, 8);
+    op(1).reply_to(msg, carrying(value_of(msg) * 2));
   });
   int got = -1;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{21}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(21),
                 [&](net::Message&& reply) {
-                  got = std::any_cast<Payload>(reply.payload).value;
+                  got = value_of(reply);
                 });
   sim_.run_until_idle();
   EXPECT_EQ(served, 1);
@@ -53,12 +61,12 @@ TEST_F(RpcTest, DeferredReplyViaPendingHandle) {
   op(2).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     pending = RemoteOp::reply_later(msg);
     // Answer 10 ms later from an unrelated event.
-    sim_.schedule_after(ms(10), [&] { op(2).reply(pending, Payload{7}, 8); });
+    sim_.schedule_after(ms(10), [&] { op(2).reply(pending, carrying(7)); });
   });
   int got = -1;
-  op(0).request(2, net::MsgKind::kAllocRequest, Payload{0}, 8,
+  op(0).request(2, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&& reply) {
-                  got = std::any_cast<Payload>(reply.payload).value;
+                  got = value_of(reply);
                 });
   sim_.run_until_idle();
   EXPECT_EQ(got, 7);
@@ -75,12 +83,12 @@ TEST_F(RpcTest, ForwardingChainRepliesToOrigin) {
     ++served_at_3;
     EXPECT_EQ(msg.origin, 0u);
     EXPECT_EQ(msg.src, 2u);  // immediate sender is the last forwarder
-    op(3).reply_to(msg, Payload{99}, 8);
+    op(3).reply_to(msg, carrying(99));
   });
   int got = -1;
-  op(0).request(1, net::MsgKind::kReadFault, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kReadFault, carrying(0),
                 [&](net::Message&& reply) {
-                  got = std::any_cast<Payload>(reply.payload).value;
+                  got = value_of(reply);
                   EXPECT_EQ(reply.src, 3u);
                 });
   sim_.run_until_idle();
@@ -93,7 +101,7 @@ TEST_F(RpcTest, BroadcastAnyTakesFirstReply) {
   for (NodeId n = 1; n < kNodes; ++n) {
     op(n).set_handler(net::MsgKind::kReadFault, [this, n](net::Message&& msg) {
       if (n == 2) {
-        op(n).reply_to(msg, Payload{static_cast<int>(n)}, 8);
+        op(n).reply_to(msg, carrying(static_cast<int>(n)));
       } else {
         op(n).ignore(msg);
       }
@@ -101,10 +109,10 @@ TEST_F(RpcTest, BroadcastAnyTakesFirstReply) {
   }
   int got = -1;
   int replies = 0;
-  op(0).broadcast(net::MsgKind::kReadFault, Payload{}, 8, BcastReply::kAny,
+  op(0).broadcast(net::MsgKind::kReadFault, carrying(0), BcastReply::kAny,
                   [&](net::Message&& reply) {
                     ++replies;
-                    got = std::any_cast<Payload>(reply.payload).value;
+                    got = value_of(reply);
                   });
   sim_.run_until_idle();
   EXPECT_EQ(replies, 1);
@@ -115,15 +123,15 @@ TEST_F(RpcTest, BroadcastAllCollectsEveryPeer) {
   for (NodeId n = 1; n < kNodes; ++n) {
     op(n).set_handler(net::MsgKind::kInvalidateBcast,
                       [this, n](net::Message&& msg) {
-                        op(n).reply_to(msg, Payload{static_cast<int>(n)}, 8);
+                        op(n).reply_to(msg, carrying(static_cast<int>(n)));
                       });
   }
   std::set<int> values;
-  op(0).broadcast(net::MsgKind::kInvalidateBcast, Payload{}, 8,
+  op(0).broadcast(net::MsgKind::kInvalidateBcast, carrying(0),
                   BcastReply::kAll, nullptr,
                   [&](std::vector<net::Message>&& replies) {
                     for (auto& r : replies) {
-                      values.insert(std::any_cast<Payload>(r.payload).value);
+                      values.insert(value_of(r));
                     }
                   });
   sim_.run_until_idle();
@@ -138,10 +146,84 @@ TEST_F(RpcTest, BroadcastNoneExpectsNothing) {
       op(n).ignore(msg);
     });
   }
-  op(0).broadcast(net::MsgKind::kLoadHint, Payload{}, 8, BcastReply::kNone);
+  op(0).broadcast(net::MsgKind::kLoadHint, net::EmptyPayload{}, BcastReply::kNone);
   sim_.run_until_idle();
   EXPECT_EQ(heard, 3);
   EXPECT_EQ(op(0).outstanding_requests(), 0u);
+}
+
+TEST_F(RpcTest, EveryKindKeepsItsFrameSizes) {
+  // Pins each kind's request and reply payload size to the byte count
+  // its send site stated before sizes were derived from the payload.
+  // Every first reply is lost, so the done-cache resend is sized too.
+  const net::PageBody body =
+      std::make_shared<const std::vector<std::byte>>(1024);
+  net::GrantPayload grant;
+  grant.body = body;
+  svm::PageTransfer stack_page;
+  stack_page.body = body;
+  auto migrant = std::make_shared<proc::PcbTransfer>();
+  migrant->pages = {stack_page, svm::PageTransfer{}};  // current page + one
+  const std::uint32_t migrant_bytes = migrant->wire_bytes();
+  EXPECT_EQ(migrant_bytes, 256u + (16 + 1024) + 16);
+
+  struct Row {
+    net::MsgKind kind;
+    net::Payload request;
+    net::Payload reply;
+    std::uint32_t request_bytes;
+    std::uint32_t reply_bytes;
+  };
+  using K = net::MsgKind;
+  const Row rows[] = {
+      {K::kReadFault, net::FaultPayload{}, grant, 24, 32 + 1024},
+      {K::kWriteFault, net::FaultPayload{}, net::GrantPayload{}, 24, 32},
+      {K::kInvalidate, net::InvalidatePayload{}, net::AckPayload{}, 32, 8},
+      {K::kInvalidateBcast, net::InvalidatePayload{}, net::AckPayload{}, 32,
+       8},
+      {K::kGrantAck, net::GrantAckPayload{}, net::AckPayload{}, 24, 8},
+      {K::kGrantPush, grant, net::AckPayload{}, 32 + 1024, 8},
+      {K::kMigrateAsk, net::MigrateAskPayload{}, net::MigrateReplyPayload{},
+       16, 16},
+      {K::kMigrateAsk, net::MigrateAskPayload{},
+       net::MigrateReplyPayload{migrant, migrant_bytes}, 16, migrant_bytes},
+      {K::kRemoteResume, net::ResumePayload{}, net::EmptyPayload{}, 20, 8},
+      {K::kAllocRequest, net::AllocRequestPayload{}, net::AllocReplyPayload{},
+       16, 16},
+      {K::kFreeRequest, net::FreeRequestPayload{}, net::EmptyPayload{}, 16,
+       8},
+  };
+  op(0).set_request_timeout(ms(50));
+  op(0).set_check_interval(ms(50));
+  std::vector<net::Message> frames;
+  std::set<std::uint64_t> lost;
+  ring_.set_drop_hook([&](const net::Message& msg) {
+    frames.push_back(msg);
+    return msg.is_reply && lost.insert(msg.rpc_id).second;
+  });
+  for (const Row& row : rows) {
+    frames.clear();
+    op(1).set_handler(row.kind, [&](net::Message&& msg) {
+      op(1).reply_to(msg, row.reply);
+    });
+    bool answered = false;
+    op(0).request(1, row.kind, row.request,
+                  [&](net::Message&&) { answered = true; });
+    sim_.run_until_idle();
+    ASSERT_TRUE(answered) << net::to_string(row.kind);
+    int replies = 0;
+    for (const net::Message& f : frames) {
+      replies += f.is_reply ? 1 : 0;
+      EXPECT_EQ(f.wire_bytes, f.is_reply ? row.reply_bytes : row.request_bytes)
+          << net::to_string(row.kind) << (f.is_reply ? " reply" : " request");
+    }
+    EXPECT_EQ(replies, 2) << net::to_string(row.kind);  // lost, then resent
+  }
+  // The load hint is a no-reply broadcast with nothing but the hint byte.
+  frames.clear();
+  op(0).broadcast(K::kLoadHint, net::EmptyPayload{}, BcastReply::kNone);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].wire_bytes, 8u);
 }
 
 TEST_F(RpcTest, RetransmitsThroughDroppedRequest) {
@@ -154,12 +236,12 @@ TEST_F(RpcTest, RetransmitsThroughDroppedRequest) {
   int served = 0;
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
-    op(1).reply_to(msg, Payload{5}, 8);
+    op(1).reply_to(msg, carrying(5));
   });
   int got = -1;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&& reply) {
-                  got = std::any_cast<Payload>(reply.payload).value;
+                  got = value_of(reply);
                 });
   sim_.run_until_idle();
   EXPECT_EQ(got, 5);
@@ -177,12 +259,12 @@ TEST_F(RpcTest, DroppedReplyIsResentWithoutReexecution) {
   int served = 0;
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
-    op(1).reply_to(msg, Payload{11}, 8);
+    op(1).reply_to(msg, carrying(11));
   });
   int got = -1;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&& reply) {
-                  got = std::any_cast<Payload>(reply.payload).value;
+                  got = value_of(reply);
                 });
   sim_.run_until_idle();
   EXPECT_EQ(got, 11);
@@ -199,7 +281,7 @@ TEST_F(RpcTest, AnsweredAttemptGetsNoSecondReply) {
   int served = 0;
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
-    op(1).reply_to(msg, Payload{4}, 8);
+    op(1).reply_to(msg, carrying(4));
   });
   int reply_frames = 0;
   ring_.set_drop_hook([&](const net::Message& msg) {
@@ -207,7 +289,7 @@ TEST_F(RpcTest, AnsweredAttemptGetsNoSecondReply) {
     return false;
   });
   std::uint64_t rpc_id = 0;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&& reply) { rpc_id = reply.rpc_id; });
   sim_.run_until_idle();
   ASSERT_NE(rpc_id, 0u);
@@ -221,7 +303,7 @@ TEST_F(RpcTest, AnsweredAttemptGetsNoSecondReply) {
     m.rpc_id = rpc_id;
     m.origin = 0;
     m.attempt = attempt;
-    m.payload = Payload{};
+    m.payload = carrying(0);
     m.wire_bytes = 8;
     ring_.send(std::move(m));
     sim_.run_until_idle();
@@ -248,13 +330,13 @@ TEST_F(RpcTest, RetransmissionAfterLostReplyIsAnsweredOnce) {
   int served = 0;
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
-    op(1).reply_to(msg, Payload{12}, 8);
+    op(1).reply_to(msg, carrying(12));
   });
   int replies = 0;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&& reply) {
                   ++replies;
-                  EXPECT_EQ(std::any_cast<Payload>(reply.payload).value, 12);
+                  EXPECT_EQ(value_of(reply), 12);
                 });
   sim_.run_until_idle();
   EXPECT_EQ(served, 1);
@@ -275,10 +357,10 @@ TEST_F(RpcTest, DuplicateWhileInProgressIsSwallowed) {
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
     pending = RemoteOp::reply_later(msg);
-    sim_.schedule_after(ms(100), [&] { op(1).reply(pending, Payload{3}, 8); });
+    sim_.schedule_after(ms(100), [&] { op(1).reply(pending, carrying(3)); });
   });
   int replies = 0;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&&) { ++replies; });
   sim_.run_until_idle();
   EXPECT_EQ(served, 1);
@@ -294,9 +376,9 @@ TEST_F(RpcTest, LoadHintsPiggybackOnEveryMessage) {
         if (from == 0) heard = hint;
       });
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
-    op(1).reply_to(msg, Payload{}, 8);
+    op(1).reply_to(msg, carrying(0));
   });
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [](net::Message&&) {});
   sim_.run_until_idle();
   EXPECT_EQ(heard, 9);
@@ -307,7 +389,7 @@ TEST_F(RpcTest, OrphanReplyHandlerSeesLateDuplicates) {
   // no outstanding entry left and lands in the orphan handler.
   for (NodeId n : {1u, 2u}) {
     op(n).set_handler(net::MsgKind::kWriteFault, [this, n](net::Message&& msg) {
-      op(n).reply_to(msg, Payload{static_cast<int>(n)}, 8);
+      op(n).reply_to(msg, carrying(static_cast<int>(n)));
     });
   }
   op(3).set_handler(net::MsgKind::kWriteFault,
@@ -316,11 +398,11 @@ TEST_F(RpcTest, OrphanReplyHandlerSeesLateDuplicates) {
   int orphaned = -1;
   op(0).set_orphan_reply_handler(
       net::MsgKind::kWriteFault, [&](net::Message&& msg) {
-        orphaned = std::any_cast<Payload>(msg.payload).value;
+        orphaned = value_of(msg);
       });
-  op(0).broadcast(net::MsgKind::kWriteFault, Payload{}, 8, BcastReply::kAny,
+  op(0).broadcast(net::MsgKind::kWriteFault, carrying(0), BcastReply::kAny,
                   [&](net::Message&& reply) {
-                    first = std::any_cast<Payload>(reply.payload).value;
+                    first = value_of(reply);
                   });
   sim_.run_until_idle();
   EXPECT_NE(first, -1);
@@ -341,7 +423,7 @@ TEST_F(RpcTest, BackoffSpacesRetransmissionsExponentially) {
   });
   bool failed = false;
   op(0).request(
-      1, net::MsgKind::kAllocRequest, Payload{}, 8,
+      1, net::MsgKind::kAllocRequest, carrying(0),
       [](net::Message&&) { FAIL() << "no reply can arrive"; }, 0,
       [&](const RequestFailure& f) {
         failed = true;
@@ -373,7 +455,7 @@ TEST_F(RpcTest, NodeFailureHandlerCatchesTerminalFailure) {
     ++node_level;
     EXPECT_EQ(f.kind, net::MsgKind::kReadFault);
   });
-  op(0).request(1, net::MsgKind::kReadFault, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kReadFault, carrying(0),
                 [](net::Message&&) { FAIL() << "no reply can arrive"; });
   sim_.run_until_idle();
   EXPECT_EQ(node_level, 1);
@@ -387,16 +469,16 @@ TEST_F(RpcTest, DoneCacheEvictionForcesReexecution) {
   int served = 0;
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
-    op(1).reply_to(msg, Payload{served}, 8);
+    op(1).reply_to(msg, carrying(served));
   });
   // First exchange completes normally and caches its reply...
   net::Message dup;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&& reply) { dup = std::move(reply); });
   sim_.run_until_idle();
   EXPECT_EQ(served, 1);
   // ...then a second, distinct exchange evicts it (capacity 1)...
-  op(2).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(2).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [](net::Message&&) {});
   sim_.run_until_idle();
   EXPECT_EQ(served, 2);
@@ -409,7 +491,7 @@ TEST_F(RpcTest, DoneCacheEvictionForcesReexecution) {
   replay.kind = net::MsgKind::kAllocRequest;
   replay.rpc_id = dup.rpc_id;
   replay.origin = 0;
-  replay.payload = Payload{};
+  replay.payload = carrying(0);
   replay.wire_bytes = 8;
   ring_.send(std::move(replay));
   sim_.run_until_idle();
@@ -422,10 +504,10 @@ TEST_F(RpcTest, DoneCacheWithinCapacityStillSuppressesDuplicates) {
   int served = 0;
   op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
     ++served;
-    op(1).reply_to(msg, Payload{served}, 8);
+    op(1).reply_to(msg, carrying(served));
   });
   net::Message dup;
-  op(0).request(1, net::MsgKind::kAllocRequest, Payload{}, 8,
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
                 [&](net::Message&& reply) { dup = std::move(reply); });
   sim_.run_until_idle();
   net::Message replay;
@@ -434,7 +516,7 @@ TEST_F(RpcTest, DoneCacheWithinCapacityStillSuppressesDuplicates) {
   replay.kind = net::MsgKind::kAllocRequest;
   replay.rpc_id = dup.rpc_id;
   replay.origin = 0;
-  replay.payload = Payload{};
+  replay.payload = carrying(0);
   replay.wire_bytes = 8;
   ring_.send(std::move(replay));
   sim_.run_until_idle();

@@ -361,7 +361,9 @@ TEST_P(SvmProtocol, StaleInvalidationIsIgnoredByVersionGuard) {
   msg.kind = net::MsgKind::kInvalidate;
   msg.origin = 2;
   msg.rpc_id = 991;
-  msg.payload = InvalidatePayload{0, 2, version};  // not newer
+  // Addressed to node 1, so the version guard (not the bystander test)
+  // decides.
+  msg.payload = net::InvalidatePayload{0, 2, version, NodeSet{1ULL << 1}};
   h.at(1).on_invalidate(std::move(msg));
   h.settle();
   EXPECT_EQ(h.at(1).table().at(0).access, Access::kRead);
