@@ -9,7 +9,12 @@
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "bench/common.h"
+#include "ivy/base/rng.h"
 #include "ivy/sim/fiber.h"
 
 namespace ivy::bench {
@@ -30,18 +35,38 @@ Time timed_run(Runtime& rt, NodeId node, Fn&& body) {
   return rt.run();
 }
 
+// The event queue as a run sees it: `depth` events stay pending, and each
+// operation pushes one at a pseudo-random later time and pops the
+// earliest.  A closure carries 128 bytes, the size of a ring delivery's.
+// Depth 32 is about perfbench dotprod-scatter's mean queue length; 512 is
+// a queue that also holds hundreds of long timers.
 void BM_SimulatorEventThroughput(benchmark::State& state) {
+  struct Capture {
+    std::uint64_t* sink;
+    std::array<std::uint64_t, 15> words;
+  };
+  static_assert(sizeof(Capture) == 128);
+  sim::Simulator sim;
+  Rng rng(1);
+  std::vector<Time> delays(4096);
+  for (Time& d : delays) d = 1 + static_cast<Time>(rng.below(1'000'000));
+  std::uint64_t sink = 0;
+  Capture capture{&sink, {}};
+  std::size_t pushed = 0;
+  const auto push = [&] {
+    capture.words[0] = pushed;
+    sim.schedule_after(delays[pushed++ % delays.size()],
+                       [capture] { *capture.sink += capture.words[0]; });
+  };
+  for (std::int64_t i = 0; i < state.range(0); ++i) push();
   for (auto _ : state) {
-    sim::Simulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.schedule_after(i, [] {});
-    }
-    sim.run_until_idle();
-    benchmark::DoNotOptimize(sim.events_executed());
+    push();
+    sim.step();
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SimulatorEventThroughput);
+BENCHMARK(BM_SimulatorEventThroughput)->Arg(32)->Arg(512);
 
 // One resume+yield round trip of a fiber, the host cost of every process
 // dispatch; no simulated machine takes part.

@@ -6,7 +6,8 @@
 // kChunk elements, each allocated on the first mutable access in its range
 // and filled with the initial value; an untouched index reads as the
 // initial value and costs nothing but its chunk's null pointer.  A lookup
-// is a shift, a mask and one pointer test: no hash.
+// is a shift, a mask and one pointer test: no hash.  Elements never move,
+// which is why the simulator keeps its event slots here too.
 #pragma once
 
 #include <array>

@@ -450,7 +450,7 @@ net::GrantPayload Svm::begin_pending_transfer(PageId page, NodeId to,
   PageEntry& entry = table_.at(page);
   IVY_CHECK(entry.owned);
   IVY_CHECK(!entry.fault_in_progress);
-  const PendingTransfer& pending = pending_transfers_[page] = PendingTransfer{
+  PendingTransfer& pending = pending_transfers_[page] = PendingTransfer{
       .to = to, .version = version, .bodyless = bodyless};
   net::GrantPayload grant = write_grant(page, pending);
   // Hold the token (and the data) until the new owner confirms; defer
@@ -461,7 +461,7 @@ net::GrantPayload Svm::begin_pending_transfer(PageId page, NodeId to,
   entry.fault_start = sim_.now();
   IVY_DEBUG() << "node " << self_ << " holds page " << page
               << " pending transfer to " << to << " v" << version;
-  arm_reoffer(page, version);
+  arm_reoffer(page, pending);
   return grant;
 }
 
@@ -493,19 +493,20 @@ NodeId Svm::granted_to(PageId page) const {
              : kNoNode;
 }
 
-void Svm::arm_reoffer(PageId page, std::uint64_t version) {
+void Svm::arm_reoffer(PageId page, PendingTransfer& pending) {
   // Quiet period before re-offering: long enough that the requester's own
   // retransmissions (which make the old owner resend the grant) have had
   // every chance first.
   const Time wait = 4 * rpc_.request_timeout();
-  sim_.schedule_after(wait, [this, page, version] {
-    auto it = pending_transfers_.find(page);
-    if (it == pending_transfers_.end() || it->second.version != version) {
-      return;  // the transfer settled (acked or aborted)
-    }
-    if (!it->second.push_in_flight) push_pending_grant(page);
-    arm_reoffer(page, version);
-  });
+  pending.reoffer = sim_.schedule_after(
+      wait, [this, page, version = pending.version] {
+        auto it = pending_transfers_.find(page);
+        if (it == pending_transfers_.end() || it->second.version != version) {
+          return;  // settled (on_grant_ack cancels the timer first)
+        }
+        if (!it->second.push_in_flight) push_pending_grant(page);
+        arm_reoffer(page, it->second);
+      });
 }
 
 void Svm::push_pending_grant(PageId page) {
@@ -603,6 +604,9 @@ void Svm::on_grant_ack(net::Message&& msg) {
     emit({.kind = EventKind::kTransferAborted, .page = ack.page,
           .peer = it->second.to, .version = ack.version});
   }
+  // Settled: the re-offer timer could only find the transfer gone.
+  const bool cancelled = sim_.cancel(it->second.reoffer);
+  IVY_CHECK(cancelled);
   pending_transfers_.erase(it);
   rpc_.reply_to(msg, net::AckPayload{ack.page});
   complete_fault(ack.page);  // replay everything deferred meanwhile

@@ -20,6 +20,7 @@
 #include "ivy/mem/disk.h"
 #include "ivy/mem/frame_pool.h"
 #include "ivy/rpc/remote_op.h"
+#include "ivy/sim/simulator.h"
 #include "ivy/svm/event.h"
 #include "ivy/svm/page_table.h"
 
@@ -292,6 +293,9 @@ class Svm {
     bool bodyless = false;
     /// The grant frame is on the ring (see granted_to).
     bool grant_sent = false;
+    /// The pending re-offer timer (see arm_reoffer), cancelled when the
+    /// transfer settles.
+    sim::Timer reoffer{};
   };
 
   /// The write grant of a pending transfer of `page`: its version, the
@@ -308,7 +312,7 @@ class Svm {
   /// the old owner would defer every request for the page.  The re-offer
   /// timer pushes the held grant to the target as a reliable *request*
   /// (kGrantPush) until the transfer settles either way.
-  void arm_reoffer(PageId page, std::uint64_t version);
+  void arm_reoffer(PageId page, PendingTransfer& pending);
 
   /// Whether a round over `copies` holders goes out as one multicast.
   [[nodiscard]] bool multicast_round(int copies) const {

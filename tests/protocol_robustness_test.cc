@@ -149,7 +149,14 @@ TEST(TwoPhaseTransfer, BodylessGrantLostThenReofferedByPush) {
   // owner's kGrantPush re-offer, which must stay bodyless and be
   // absorbable against the requester's surviving read copy.
   bool black_hole = false;
+  Time acked_at = -1;
+  const auto note_ack = [&](const net::Message& m) {
+    if (m.kind == net::MsgKind::kGrantAck && !m.is_reply) {
+      acked_at = h.sim_.now();
+    }
+  };
   h.ring_.set_drop_hook([&](const net::Message& m) {
+    note_ack(m);
     if (m.kind != net::MsgKind::kWriteFault) return false;
     if (m.is_reply && !black_hole) {
       black_hole = true;  // the grant is lost...
@@ -160,11 +167,18 @@ TEST(TwoPhaseTransfer, BodylessGrantLostThenReofferedByPush) {
   bool done = false;
   h.at(1).request_access(6, Access::kWrite, [&] { done = true; });
   h.sim_.run_while([&] { return !done; });
-  h.ring_.set_drop_hook(nullptr);
+  h.ring_.set_drop_hook([&](const net::Message& m) {
+    note_ack(m);
+    return false;
+  });
   h.sim_.run_until_idle();
   h.check_single_owner(6);
   EXPECT_TRUE(h.at(1).table().at(6).owned);
   EXPECT_GE(h.stats_.total(Counter::kGrantReoffers), 1u);
+  // The ack cancelled the re-offer timer that the push re-armed, so the
+  // drain ends soon after it rather than a re-offer period later.
+  ASSERT_GE(acked_at, 0);
+  EXPECT_LT(h.sim_.now() - acked_at, h.rpcs_[0]->request_timeout());
   EXPECT_EQ(h.stats_.total(Counter::kPageTransfers), transfers_before);
   std::uint64_t out = 0;
   h.at(1).read_bytes(6 * 256, std::as_writable_bytes(std::span(&out, 1)));

@@ -1,9 +1,14 @@
 // Unit tests for the discrete-event engine and fibers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <tuple>
+#include <vector>
 
+#include "ivy/base/rng.h"
 #include "ivy/sim/cost_model.h"
 #include "ivy/sim/fiber.h"
 #include "ivy/sim/simulator.h"
@@ -88,6 +93,140 @@ TEST(Simulator, StepReturnsFalseWhenIdle) {
   EXPECT_FALSE(sim.step());
   EXPECT_TRUE(sim.idle());
   EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+// Events that survive cancellation run in exactly the order of a reference
+// sort by (time, scheduling order), across two scheduling rounds so that
+// freed and cancelled slots are reused.
+TEST(Simulator, CancelledEventsLeaveTheRestInKeyOrder) {
+  Simulator sim;
+  Rng rng(7);
+  struct Scheduled {
+    Time at;
+    int id;
+    Timer timer;
+    bool cancelled = false;
+  };
+  std::vector<Scheduled> events;
+  std::vector<int> ran;
+  const auto schedule_round = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      // A narrow time range, so many events tie on their time.
+      const Time at = sim.now() + rng.range(0, 999);
+      const int id = static_cast<int>(events.size());
+      const Timer t = sim.schedule_at(at, [&ran, id] { ran.push_back(id); });
+      events.push_back({at, id, t});
+    }
+  };
+  const auto cancel_third = [&] {
+    for (Scheduled& e : events) {
+      if (rng.below(3) != 0) continue;
+      // Only a pending event may be cancelled; one that ran or was
+      // cancelled already refuses.
+      const bool ran_already =
+          std::find(ran.begin(), ran.end(), e.id) != ran.end();
+      EXPECT_EQ(sim.cancel(e.timer), !ran_already && !e.cancelled);
+      if (!ran_already) e.cancelled = true;
+    }
+  };
+  schedule_round(3000);
+  cancel_third();
+  sim.run_while([&] { return ran.size() < 1000; });
+  schedule_round(2000);
+  cancel_third();
+  sim.run_until_idle();
+
+  std::vector<Scheduled> expected;
+  for (const Scheduled& e : events) {
+    if (!e.cancelled) expected.push_back(e);
+  }
+  // Ids are handed out in scheduling order, as sequence numbers are.
+  std::sort(expected.begin(), expected.end(),
+            [](const Scheduled& a, const Scheduled& b) {
+              return std::tie(a.at, a.id) < std::tie(b.at, b.id);
+            });
+  ASSERT_EQ(ran.size(), expected.size());
+  for (std::size_t i = 0; i < ran.size(); ++i) {
+    ASSERT_EQ(ran[i], expected[i].id) << "position " << i;
+  }
+  EXPECT_EQ(sim.events_executed(), expected.size());
+}
+
+TEST(Simulator, CancelReleasesTheCaptureUnrun) {
+  Simulator sim;
+  auto held = std::make_shared<int>(0);
+  const Timer t = sim.schedule_at(5, [held] { ++*held; });
+  EXPECT_EQ(held.use_count(), 2);
+  EXPECT_TRUE(sim.cancel(t));
+  EXPECT_EQ(held.use_count(), 1);  // released at cancel, not at a pop
+  EXPECT_TRUE(sim.idle());
+  sim.run_until_idle();
+  EXPECT_EQ(*held, 0);
+  EXPECT_EQ(sim.events_executed(), 0u);
+  EXPECT_EQ(sim.now(), 0);
+}
+
+TEST(Simulator, StaleHandlesCancelNothing) {
+  Simulator sim;
+  EXPECT_FALSE(sim.cancel(Timer{}));
+  int runs = 0;
+  const Timer done = sim.schedule_at(1, [&] { ++runs; });
+  sim.run_until_idle();
+  EXPECT_FALSE(sim.cancel(done));  // already ran
+
+  const Timer once = sim.schedule_at(2, [&] { ++runs; });
+  EXPECT_TRUE(sim.cancel(once));
+  EXPECT_FALSE(sim.cancel(once));  // already cancelled
+
+  // The freed slot takes the next event; the old handle must not reach it.
+  const Timer newer = sim.schedule_at(3, [&] { ++runs; });
+  ASSERT_EQ(newer.slot, once.slot);
+  EXPECT_FALSE(sim.cancel(once));
+  sim.run_until_idle();
+  EXPECT_EQ(runs, 2);
+  EXPECT_FALSE(sim.cancel(newer));
+}
+
+TEST(Simulator, CancellingTheRunningEventIsANoOp) {
+  Simulator sim;
+  auto held = std::make_shared<int>(42);
+  Timer self;
+  bool cancelled = true;
+  long uses_after = 0;
+  int seen = 0;
+  self = sim.schedule_at(1, [&, held] {
+    cancelled = sim.cancel(self);
+    // The closure, and so its capture, outlives the attempt.
+    uses_after = held.use_count();
+    seen = *held;
+    // An event scheduled now must not take the running event's slot.
+    const Timer next = sim.schedule_after(1, [] {});
+    EXPECT_NE(next.slot, self.slot);
+  });
+  sim.run_until_idle();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(uses_after, 2);
+  EXPECT_EQ(seen, 42);
+  EXPECT_EQ(sim.events_executed(), 2u);
+  EXPECT_EQ(held.use_count(), 1);
+}
+
+// Pending closures are destroyed with the simulator; the unique_ptr
+// capture leaks (and the leak checker of a sanitized build reports it)
+// if they are not.
+TEST(Simulator, DestroyedWithEventsPendingReleasesCaptures) {
+  auto held = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.schedule_at(1, [held] {});
+    sim.schedule_at(2, [held, owned = std::make_unique<int>(1)] {});
+    const Timer t = sim.schedule_at(3, [held] {});
+    sim.schedule_at(4, [held] {});
+    sim.step();
+    EXPECT_TRUE(sim.cancel(t));
+    EXPECT_EQ(held.use_count(), 3);
+  }
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 TEST(CostModel, TransmitTimeScalesWithBytes) {

@@ -122,6 +122,16 @@ TEST_P(SvmProtocol, WriteFaultMovesOwnershipAndData) {
   h.check_invariants();
 }
 
+// The old owner's re-offer timer is cancelled when the grant is acked, so
+// draining a settled write fault leaves no timer to run the clock ahead
+// (it was armed four request timeouts out).
+TEST_P(SvmProtocol, SettledGrantLeavesNoTimer) {
+  SvmHarness h(3, GetParam());
+  h.ensure(2, 0, Access::kWrite);
+  EXPECT_TRUE(h.sim_.idle());
+  EXPECT_LT(h.sim_.now(), h.rpcs_[0]->request_timeout());
+}
+
 TEST_P(SvmProtocol, WriterInvalidatesAllReadCopies) {
   SvmHarness h(4, GetParam());
   h.write_u64(0, 0, 1);
