@@ -146,6 +146,34 @@ void BM_PageHit(benchmark::State& state) {
 }
 BENCHMARK(BM_PageHit);
 
+// The hit as a stencil makes it: one process cycles over five pages and
+// charges compute after every eight references, so the quantum yields
+// flush the translation cache as pde3d's sweeps do.
+void BM_PageHitStencil(benchmark::State& state) {
+  constexpr std::size_t kPages = 5;
+  constexpr std::size_t kWordsPerPage = 128;  // 1 KiB pages
+  Runtime rt(micro_config(1));
+  auto data = rt.alloc_array<std::uint64_t>(kPages * kWordsPerPage);
+  rt.spawn_on(0, [&state, data]() mutable {
+    for (std::size_t i = 0; i < kPages * kWordsPerPage; ++i) data[i] = i;
+    std::uint64_t sum = 0;
+    std::size_t word = 0;
+    std::size_t refs = 0;
+    for (auto _ : state) {
+      sum += static_cast<std::uint64_t>(data[(refs % kPages) * kWordsPerPage +
+                                             word]);
+      if (++refs % 8 == 0) {
+        word = (word + 1) % kWordsPerPage;
+        proc::charge_compute(2);
+      }
+    }
+    benchmark::DoNotOptimize(sum);
+  });
+  rt.run();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PageHitStencil);
+
 void BM_RemoteReadFault(benchmark::State& state) {
   Time virtual_per_fault = 0;
   constexpr std::size_t kPages = 64;

@@ -61,13 +61,32 @@ class FramePool {
 
   void set_evict_callback(EvictCallback cb) { on_evict_ = std::move(cb); }
 
+  /// A resident page's bytes with its recency stamp, for a translation
+  /// cache to keep.  The stamp's address stays valid only until the
+  /// pool's frame set next changes (acquire, release): frames move in
+  /// their dense storage then.
+  struct FrameRef {
+    std::byte* bytes = nullptr;
+    std::uint64_t* last_used = nullptr;
+  };
+
   /// Bytes of a resident page, touching it for recency; nullptr if absent.
   [[nodiscard]] std::byte* lookup(PageId page) {
+    return lookup_ref(page).bytes;
+  }
+  /// lookup's frame as a FrameRef; empty if absent.
+  [[nodiscard]] FrameRef lookup_ref(PageId page) {
     const std::uint32_t slot = slot_.get(page);
-    if (slot == kNoSlot) return nullptr;
+    if (slot == kNoSlot) return {};
     Frame& f = frames_[slot];
     f.last_used = ++tick_;
-    return f.bytes.get();
+    return {f.bytes.get(), &f.last_used};
+  }
+  /// A later reference through a still-valid FrameRef: touches the frame
+  /// for recency as lookup does.
+  [[nodiscard]] std::byte* touch(const FrameRef& ref) {
+    *ref.last_used = ++tick_;
+    return ref.bytes;
   }
 
   /// Bytes without affecting recency (for assertions, server peeks and

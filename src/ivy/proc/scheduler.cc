@@ -157,6 +157,9 @@ void Scheduler::dispatch() {
   }
   last_dispatched_ = pcb;
 
+  // A translation cached in an earlier slice may be stale: rights,
+  // frames and grace change only between slices.
+  svm_.flush_translations();
   current_sched_ = this;
   current_pcb_ = pcb;
   log_internal::set_context(node_, sim_.now());

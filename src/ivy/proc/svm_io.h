@@ -7,9 +7,10 @@
 // the coherence protocol.  Access can be revoked between the grant and the
 // process actually running again, so the fault loop re-checks.  As with
 // the MMU, a hit costs the host next to nothing: a one-page hit is inline
-// here, one rights check on one page entry, while a miss and a reference
-// that spans pages go out of line to the loops in svm_io.cc.  Either way
-// the data moves through the frame returned.
+// here, one rights check on one entry of the node's translation cache
+// (Svm::reference), while a miss and a reference that spans pages go out
+// of line to the loops in svm_io.cc.  Either way the data moves through
+// the frame returned.
 #pragma once
 
 #include <cstring>

@@ -25,6 +25,7 @@ RemoteOp::RemoteOp(sim::Simulator& sim, net::Ring& ring, Stats& stats,
     : sim_(sim), ring_(ring), stats_(stats), self_(self),
       // rpc ids are globally unique: node id in the top bits.
       next_rpc_id_((static_cast<std::uint64_t>(self) << 40) + 1),
+      origin_marks_(ring.nodes()),
       // Per-node jitter stream; only retransmissions draw from it.
       backoff_rng_(0xb0ff'0000'0000ULL ^ (static_cast<std::uint64_t>(self))) {
   ring_.set_handler(self, [this](net::Message&& msg) {
@@ -128,7 +129,7 @@ void RemoteOp::reply(const PendingReply& pending, net::Payload payload,
   // re-executing the operation ("resend replies only when necessary").
   done_cache_.push_back(DoneEntry{key, payload, pending.kind, pending.origin,
                                   pending.attempt});
-  std::uint64_t& high = done_high_[pending.origin];
+  std::uint64_t& high = origin_marks_[pending.origin].done_high;
   high = std::max(high, pending.rpc_id);
   while (done_cache_.size() > done_cache_capacity_) evict_done_front();
 
@@ -155,7 +156,7 @@ void RemoteOp::evict_done_front() {
   // contract in the header).
   const std::uint64_t rpc =
       old.key ^ (static_cast<std::uint64_t>(old.origin) << 48);
-  std::uint64_t& wm = evicted_watermark_[old.origin];
+  std::uint64_t& wm = origin_marks_[old.origin].evicted;
   wm = std::max(wm, rpc);
   emit({.kind = EventKind::kDoneEvicted});
   done_cache_.pop_front();
@@ -272,8 +273,7 @@ void RemoteOp::handle_request(net::Message&& msg) {
   // one answered — means the reply was lost; resend the cached reply to
   // it.  Any other copy trails the one served and is dropped.  An id above
   // every id cached from its origin was never answered: no scan.
-  if (const auto high = done_high_.find(msg.origin);
-      high != done_high_.end() && msg.rpc_id <= high->second) {
+  if (msg.rpc_id <= origin_marks_[msg.origin].done_high) {
     for (DoneEntry& done : done_cache_) {
       if (done.key != key) continue;
       if (msg.attempt <= done.attempt) return;
@@ -288,13 +288,12 @@ void RemoteOp::handle_request(net::Message&& msg) {
     }
   }
   // Still being served?  The reply is on its way; drop the duplicate.
-  if (!in_progress_.emplace(key, true).second) return;
+  if (!in_progress_.insert(key).second) return;
 
   // Heuristic re-execution detector: rpc ids are per-origin monotone, so
   // a "new" request at or below the origin's eviction watermark is old
   // enough to be a duplicate whose cached reply was evicted.
-  if (auto wm = evicted_watermark_.find(msg.origin);
-      wm != evicted_watermark_.end() && msg.rpc_id <= wm->second) {
+  if (msg.rpc_id <= origin_marks_[msg.origin].evicted) {
     emit({.kind = EventKind::kDupReexecuted});
   }
 

@@ -293,16 +293,20 @@ class RemoteOp {
 
   // Duplicate-request suppression: in-progress set + bounded cache of
   // completed replies ("resend replies only when necessary").
-  std::unordered_map<std::uint64_t, bool> in_progress_;
+  std::unordered_set<std::uint64_t> in_progress_;
   std::deque<DoneEntry> done_cache_;
   std::size_t done_cache_capacity_ = 1024;
-  /// Highest rpc id ever cached per origin node: a request above it has
-  /// no entry, so it skips the done-cache scan.
-  std::unordered_map<NodeId, std::uint64_t> done_high_;
-  /// Highest rpc_id evicted from the done-cache per origin node: a
-  /// duplicate below (or at) the watermark *may* be a re-execution of an
-  /// evicted entry (exact detection is impossible once the key is gone).
-  std::unordered_map<NodeId, std::uint64_t> evicted_watermark_;
+  /// Per origin node (NodeId is dense), two rpc ids, 0 for none (every
+  /// id is at least 1).  `done_high`: the highest ever cached; a request
+  /// above it has no entry, so it skips the done-cache scan.  `evicted`:
+  /// the highest evicted from the done-cache; a duplicate below (or at)
+  /// it *may* be a re-execution of an evicted entry (exact detection is
+  /// impossible once the key is gone).  One vector, one allocation.
+  struct OriginMarks {
+    std::uint64_t done_high = 0;
+    std::uint64_t evicted = 0;
+  };
+  std::vector<OriginMarks> origin_marks_;
 
   // Duplicate-reply suppression: every (rpc_id, server) reply is
   // processed at most once.  Without it a fault-duplicated reply frame

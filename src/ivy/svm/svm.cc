@@ -147,7 +147,14 @@ std::byte* Svm::zero_frame(PageId page) {
   IVY_CHECK_MSG(entry.owned && !entry.on_disk,
                 "no frame for accessible page " << page << " on node "
                                                 << self_);
-  return pool_.acquire(page);
+  std::byte* bytes = pool_.acquire(page);
+  flush_translations();
+  return bytes;
+}
+
+void Svm::reset_translations() {
+  tlb_.fill({});
+  generation_ = 1;
 }
 
 void Svm::begin_disk_restore(PageId page) {

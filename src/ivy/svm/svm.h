@@ -12,6 +12,7 @@
 // right is granted; the process layer turns that into fiber blocking.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <span>
@@ -101,15 +102,37 @@ class Svm {
   /// One shared reference by a local process to `page` under `want`:
   /// checks the right, consumes a pending post-fault grace, clears the
   /// modify bit (`disk_current`) on a write and touches the frame for
-  /// recency once, all through one page-entry lookup.  Returns the frame,
-  /// or null when the right is missing (the caller faults and retries).
-  /// Inline: a hit is the MMU's work, one rights check on one entry.
+  /// recency once.  Returns the frame, or null when the right is missing
+  /// (the caller faults and retries).  Inline: a hit is the MMU's work.
+  /// A hit in the translation cache (a TLB) only touches the frame; any
+  /// other reference makes one page-entry lookup.  Only a reference with
+  /// no side effect left to repeat (right held, no grace pending, frame
+  /// already resident) may fill the cache: the page's first such miss
+  /// since the last flush marks its slot, the second caches `want` there,
+  /// so one pass over scattered pages pays no fill.  Callers run inside a
+  /// process of this node, whose dispatcher flushes the cache.
   [[nodiscard]] std::byte* reference(PageId page, Access want) {
+    Translation& t = tlb_[page % kTranslations];
+    const bool seen = t.page == page && t.generation == generation_;
+    if (seen && satisfies(t.right, want)) [[likely]] {
+      return pool_.touch(t.frame);
+    }
     PageEntry& entry = table_.at(page);
     if (!satisfies(entry.access, want)) return nullptr;
     if (entry.grace > 0) [[unlikely]] consume_grace(page, entry);
     if (want == Access::kWrite) entry.disk_current = false;
-    return usable_frame(page);
+    const mem::FramePool::FrameRef frame = pool_.lookup_ref(page);
+    if (frame.bytes == nullptr) [[unlikely]] return zero_frame(page);
+    if (entry.grace == 0) {
+      t = {page, generation_, seen ? want : Access::kNil, frame};
+    }
+    return frame.bytes;
+  }
+  /// Drops every cached translation in O(1).  The dispatcher calls it
+  /// before it resumes a process: everything else that changes this
+  /// node's rights, frames or grace runs between two slices of a process.
+  void flush_translations() {
+    if (++generation_ == 0) [[unlikely]] reset_translations();
   }
   /// A reference that moves no data (a process's first touch of its stack
   /// page): checks the right and consumes a pending grace, but takes no
@@ -261,7 +284,24 @@ class Svm {
     return bytes != nullptr ? bytes : zero_frame(page);
   }
   /// usable_frame's miss: the zero page of an owned never-touched page.
+  /// Its frame may evict another page and moves the pool's frames, so it
+  /// flushes the translation cache.
   [[nodiscard]] std::byte* zero_frame(PageId page);
+
+  /// One translation cache entry: `page` may be referenced under `right`
+  /// through `frame` (its bytes and recency stamp) while `generation` is
+  /// current.  `right` is kNil while the entry only marks the page's
+  /// first miss.
+  struct Translation {
+    PageId page = kNoPage;
+    std::uint16_t generation = 0;
+    Access right = Access::kNil;
+    mem::FramePool::FrameRef frame;
+  };
+  static constexpr PageId kTranslations = 16;
+
+  /// flush_translations when the generation wraps: clears every entry.
+  void reset_translations();
 
   /// A local process performed an access on `page` while it was in
   /// post-fault grace; when all granted waiters have touched it, deferred
@@ -334,6 +374,10 @@ class Svm {
   std::unordered_map<PageId, PendingTransfer> pending_transfers_;
   std::function<void(Time)> stall_hook_;
   Time pending_charge_ = 0;
+  /// The translation cache, direct-mapped by page.  An entry is live only
+  /// at the current generation, so a flush bumps the generation.
+  std::array<Translation, kTranslations> tlb_{};
+  std::uint16_t generation_ = 1;
 };
 
 }  // namespace ivy::svm

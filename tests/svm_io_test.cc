@@ -125,5 +125,143 @@ TEST(SvmIo, TwoPageEventcountTakesWriteAccessToBothPages) {
   EXPECT_TRUE(rt.svm(1).has_access(first + 1, svm::Access::kWrite));
 }
 
+// --- the translation cache (Svm::reference) -------------------------------
+
+constexpr std::array<svm::ManagerKind, 4> kManagers = {
+    svm::ManagerKind::kCentralized, svm::ManagerKind::kFixedDistributed,
+    svm::ManagerKind::kDynamicDistributed, svm::ManagerKind::kBroadcast};
+
+// A page read twice in one slice is cached.  A remote writer invalidates
+// it between two of the reader's slices, and the reader's next reference
+// faults and reads the new value: the dispatcher's flush drops the
+// translation.  The reader's frames hold a second page after the cached
+// one, so a stale translation would reach that page's bytes.
+TEST(SvmIoTlb, RemoteWriteBetweenSlicesInvalidatesACachedPage) {
+  for (const svm::ManagerKind kind : kManagers) {
+    SCOPED_TRACE(svm::to_string(kind));
+    runtime::Config cfg = small_memory(2, 64);
+    cfg.manager = kind;
+    runtime::Runtime rt(cfg);
+    const std::vector<SvmAddr> p = whole_pages(rt, 2);
+    rt.host_write<double>(p[0], 1.0);
+    rt.host_write<double>(p[1], 7.0);
+    bool read_done = false;
+    bool written = false;
+    bool reader_done = false;
+    std::array<double, 3> seen{};
+    rt.spawn_on(1, [&] {
+      seen[0] = svm_read<double>(p[0]);
+      seen[1] = svm_read<double>(p[0]);  // second miss: cached
+      (void)svm_read<double>(p[1]);
+      read_done = true;
+      while (!written) charge_compute(100);  // quantum yields
+      seen[2] = svm_read<double>(p[0]);
+      reader_done = true;
+    });
+    rt.spawn_on(0, [&] {
+      while (!read_done) charge_compute(100);
+      svm_write<double>(p[0], 2.0);
+      written = true;
+    });
+    // Bounded: a stale translation can fault forever on a frame it no
+    // longer names, which should fail the test, not hang it.
+    sim::Simulator& sim = rt.simulator();
+    sim.run_while([&] { return !reader_done && sim.now() < sec(60); });
+    ASSERT_TRUE(reader_done);
+    rt.run();
+    EXPECT_EQ(seen, (std::array<double, 3>{1.0, 1.0, 2.0}));
+    EXPECT_EQ(rt.stats().node_total(1, Counter::kReadFaults), 3u);
+  }
+}
+
+// One slice caches page 0, then materializes a zero page that evicts it
+// (Svm::zero_frame's flush).  The later reference in the same slice
+// misses, restores page 0 from disk and reads what was written; a stale
+// translation would reach the frame that moved into page 0's slot.
+TEST(SvmIoTlb, ZeroFrameEvictionInsideASliceDropsTheCachedPage) {
+  runtime::Runtime rt(small_memory(1, kFrames));
+  const std::vector<SvmAddr> p = whole_pages(rt, kFrames + 1);
+  double seen = 0.0;
+  std::uint64_t reads = 0;
+  rt.spawn_on(0, [&] {
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      svm_write<double>(p[i], static_cast<double>(i + 1));
+    }
+    svm_write<double>(p[0], 10.0);
+    svm_write<double>(p[0], 10.0);  // second miss: cached
+    for (std::size_t i = 1; i < kFrames; ++i) (void)svm_read<double>(p[i]);
+    svm_write<double>(p[kFrames], 6.0);  // zero page: evicts page 0 (LRU)
+    EXPECT_TRUE(rt.svm(0).table().at(page_of(p[0])).on_disk);
+    const std::uint64_t before = rt.stats().total(Counter::kDiskReads);
+    seen = svm_read<double>(p[0]);
+    reads = rt.stats().total(Counter::kDiskReads) - before;
+  });
+  rt.run();
+  EXPECT_EQ(seen, 10.0);
+  EXPECT_EQ(reads, 1u);
+}
+
+// A paged-in page is read twice in one slice (cached for reading) and then
+// written: the write misses the read translation, so it clears the modify
+// bit, and evicting the page writes it to disk.
+TEST(SvmIoTlb, WriteAfterCachedReadsClearsTheModifyBit) {
+  runtime::Runtime rt(small_memory(1, kFrames));
+  const std::vector<SvmAddr> p = whole_pages(rt, kFrames + 1);
+  std::uint64_t writes = ~0ull;
+  rt.spawn_on(0, [&] {
+    for (std::size_t i = 0; i < kFrames; ++i) svm_write<double>(p[i], 1.0);
+    (void)svm_read<double>(p[kFrames]);  // evicts page 0 (modified: written)
+    (void)svm_read<double>(p[0]);  // page-in keeps its disk image
+    (void)svm_read<double>(p[0]);  // second miss: cached for reading
+    (void)svm_read<double>(p[0]);  // a hit
+    EXPECT_TRUE(rt.svm(0).table().at(page_of(p[0])).disk_current);
+    svm_write<double>(p[0], 2.0);
+    EXPECT_FALSE(rt.svm(0).table().at(page_of(p[0])).disk_current);
+    for (std::size_t i = 2; i <= kFrames; ++i) (void)svm_read<double>(p[i]);
+    const std::uint64_t before = rt.stats().total(Counter::kDiskWrites);
+    (void)svm_read<double>(p[1]);  // page-in; evicts page 0
+    writes = rt.stats().total(Counter::kDiskWrites) - before;
+  });
+  rt.run();
+  EXPECT_EQ(writes, 1u);
+  EXPECT_EQ(rt.host_read<double>(p[0]), 2.0);
+}
+
+// `waiters` local readers are granted a page together, so its post-fault
+// grace is `waiters`.  The first to run references the page `waiters`
+// times in one slice; each reference consumes one unit, because none is
+// cached while a grace is pending (a cached hit would skip the grace).
+TEST(SvmIoTlb, NoReferenceIsCachedBeforeTheGraceIsConsumed) {
+  for (const int waiters : {2, 3}) {
+    for (const svm::ManagerKind kind : kManagers) {
+      SCOPED_TRACE(std::string(svm::to_string(kind)) + " waiters " +
+                   std::to_string(waiters));
+      runtime::Config cfg = small_memory(2, 64);
+      cfg.manager = kind;
+      runtime::Runtime rt(cfg);
+      const std::vector<SvmAddr> p = whole_pages(rt, 1);
+      const PageId page = page_of(p[0]);
+      rt.host_write<double>(p[0], 3.0);
+      std::vector<int> graces;
+      for (int w = 0; w < waiters; ++w) {
+        rt.spawn_on(1, [&] {
+          (void)svm_read<double>(p[0]);
+          if (!graces.empty()) return;  // not the first to run
+          graces.push_back(rt.svm(1).table().at(page).grace);
+          for (int r = 1; r < waiters; ++r) {
+            (void)svm_read<double>(p[0]);
+            graces.push_back(rt.svm(1).table().at(page).grace);
+          }
+        });
+      }
+      rt.run();
+      std::vector<int> expected;
+      for (int g = waiters - 1; g >= 0; --g) expected.push_back(g);
+      EXPECT_EQ(graces, expected);
+      EXPECT_EQ(rt.stats().node_total(1, Counter::kReadFaults), 1u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ivy::proc
