@@ -263,5 +263,41 @@ TEST(SvmIoTlb, NoReferenceIsCachedBeforeTheGraceIsConsumed) {
   }
 }
 
+// A flush bumps a 16-bit generation, and the entries are cleared when it
+// wraps.  The reader caches page 0, a remote writer invalidates it, and
+// the reader yields `flushes` times in all (one dispatch, so one flush,
+// each) before it reads page 0 again.  At 65 536 flushes a generation that
+// wrapped without clearing would name the cached entry again, and the read
+// would hit a frame the node no longer holds instead of faulting.
+TEST(SvmIoTlb, GenerationWrapClearsTheCache) {
+  for (const int flushes : {65535, 65536, 65537}) {
+    SCOPED_TRACE(flushes);
+    runtime::Runtime rt(small_memory(2, 64));
+    const std::vector<SvmAddr> p = whole_pages(rt, 1);
+    rt.host_write<double>(p[0], 1.0);
+    bool cached = false;
+    bool written = false;
+    double seen = 0.0;
+    rt.spawn_on(1, [&] {
+      (void)svm_read<double>(p[0]);
+      (void)svm_read<double>(p[0]);  // second miss: cached
+      cached = true;
+      int yields = 0;
+      for (; !written || yields < flushes; ++yields) {
+        charge_compute(25);  // one quantum: a yield
+      }
+      seen = svm_read<double>(p[0]);
+    });
+    rt.spawn_on(0, [&] {
+      while (!cached) charge_compute(25);
+      svm_write<double>(p[0], 2.0);
+      written = true;
+    });
+    rt.run();
+    EXPECT_EQ(seen, 2.0);
+    EXPECT_EQ(rt.stats().node_total(1, Counter::kReadFaults), 2u);
+  }
+}
+
 }  // namespace
 }  // namespace ivy::proc
