@@ -51,71 +51,91 @@ void Ring::send(Message msg) {
     return;  // frame lost after occupying the medium
   }
 
+  // Plan every recipient's copies first, in node order.  The copies that
+  // arrive with the frame share one event; a copy delayed to another
+  // time gets its own.  The order is the one an event per copy gives:
+  // those events would take consecutive sequence numbers here, so
+  // nothing could run between them, and whatever a recipient schedules
+  // for the same time runs after the last copy either way.  Ring time
+  // was charged exactly once above: per-recipient fault plans change who
+  // receives the frame, never what it cost.
+  Copies on_time;
+  const auto plan_copies = [&](NodeId dst) {
+    const FaultHook::Plan plan = fault_hook_ != nullptr
+                                     ? fault_hook_->plan_delivery(msg, dst)
+                                     : FaultHook::Plan{};
+    if (plan.drop) {
+      IVY_DEBUG() << "fault drop " << to_string(msg.kind) << " " << msg.src
+                  << "->" << dst;
+      return;  // lost after occupying the medium, like a real dropped frame
+    }
+    const auto arrive = [&](Time when) {
+      if (when != arrival) {
+        Copies late;
+        late.to.add(dst);
+        if (plan.corrupt) late.corrupt.add(dst);
+        deliver(when, late, msg);
+        return;
+      }
+      if (on_time.to.contains(dst)) on_time.twice.add(dst);
+      on_time.to.add(dst);
+      if (plan.corrupt) on_time.corrupt.add(dst);
+    };
+    if (plan.duplicate) {
+      arrive(arrival + plan.extra_delay + plan.duplicate_delay);
+    }
+    arrive(arrival + plan.extra_delay);
+  };
+
   if (broadcast) {
     // The frame circulates the ring; every other station copies it.
-    // Ring time was charged exactly once above: per-recipient fault
-    // decisions change who receives the frame, never what it cost.
     for (NodeId n = 0; n < handlers_.size(); ++n) {
-      if (n == msg.src) continue;
-      if (fault_hook_ != nullptr) {
-        deliver_planned(arrival, n, msg);
-      } else {
-        deliver_at(arrival, n, msg);  // payload copied per recipient
-      }
+      if (n != msg.src) plan_copies(n);
     }
   } else if (multicast) {
     // One frame on the wire, copied only by the addressed stations.
-    // Like broadcast, ring time was charged exactly once; fault plans
-    // are still drawn per recipient.
     msg.mcast.for_each([&](NodeId n) {
       IVY_CHECK_LT(n, handlers_.size());
-      if (fault_hook_ != nullptr) {
-        deliver_planned(arrival, n, msg);
-      } else {
-        deliver_at(arrival, n, msg);  // payload copied per recipient
-      }
+      plan_copies(n);
     });
-  } else if (fault_hook_ != nullptr) {
-    deliver_planned(arrival, msg.dst, msg);
   } else {
-    deliver_at(arrival, msg.dst, std::move(msg));
+    plan_copies(msg.dst);
   }
+  if (!on_time.to.empty()) deliver(arrival, on_time, std::move(msg));
 }
 
-void Ring::deliver_planned(Time arrival, NodeId dst, const Message& msg) {
-  const FaultHook::Plan plan = fault_hook_->plan_delivery(msg, dst);
-  if (plan.drop) {
-    IVY_DEBUG() << "fault drop " << to_string(msg.kind) << " " << msg.src
-                << "->" << dst;
-    return;  // lost after occupying the medium, like a real dropped frame
-  }
-  const auto arrive = [&](Time when) {
-    if (!plan.corrupt) {
-      deliver_at(when, dst, msg);
-      return;
+void Ring::deliver(Time when, Copies copies, Message frame) {
+  sim_.schedule_at(when, [this, copies, m = std::move(frame)]() mutable {
+    hand_over(copies, m);
+  });
+}
+
+void Ring::hand_over(const Copies& copies, Message& frame) {
+  // The last copy takes the frame itself; the others take a copy of it
+  // (a page body is shared, not copied).
+  int left = copies.to.count() + copies.twice.count();
+  copies.to.for_each([&](NodeId dst) {
+    for (int k = copies.twice.contains(dst) ? 2 : 1; k > 0; --k) {
+      --left;
+      if (copies.corrupt.contains(dst)) {
+        // Damaged in flight: the station's frame check fails and it
+        // discards the frame on arrival, so corruption degrades to loss
+        // and the retransmission protocol recovers.  Charged to the
+        // receiver, where the check runs; each copy of a duplicated
+        // frame fails its own.
+        emit({.kind = EventKind::kChecksumDrop, .node = dst,
+              .peer = frame.src, .msg = frame.kind});
+        IVY_DEBUG() << "checksum drop " << to_string(frame.kind) << " "
+                    << frame.src << "->" << dst;
+        continue;
+      }
+      IVY_CHECK_MSG(handlers_[dst] != nullptr, "no handler for node " << dst);
+      Message m = left == 0 ? std::move(frame) : frame;
+      m.dst = dst;
+      IVY_TRACE() << "deliver " << to_string(m.kind) << " " << m.src << "->"
+                  << dst << " rpc=" << m.rpc_id;
+      handlers_[dst](std::move(m));
     }
-    // Damaged in flight: the station's frame check fails and it discards
-    // the frame on arrival, so corruption degrades to loss and the
-    // retransmission protocol recovers.  Charged to the receiver, where
-    // the check runs; each copy of a duplicated frame fails its own.
-    sim_.schedule_at(when, [this, dst, src = msg.src, kind = msg.kind] {
-      emit({.kind = EventKind::kChecksumDrop, .node = dst, .peer = src,
-            .msg = kind});
-      IVY_DEBUG() << "checksum drop " << to_string(kind) << " " << src
-                  << "->" << dst;
-    });
-  };
-  if (plan.duplicate) arrive(arrival + plan.extra_delay + plan.duplicate_delay);
-  arrive(arrival + plan.extra_delay);
-}
-
-void Ring::deliver_at(Time when, NodeId dst, Message msg) {
-  msg.dst = dst;
-  sim_.schedule_at(when, [this, dst, m = std::move(msg)]() mutable {
-    IVY_CHECK_MSG(handlers_[dst] != nullptr, "no handler for node " << dst);
-    IVY_TRACE() << "deliver " << to_string(m.kind) << " " << m.src << "->"
-                << dst << " rpc=" << m.rpc_id;
-    handlers_[dst](std::move(m));
   });
 }
 

@@ -8,6 +8,8 @@
 //
 // Broadcast is natural on a ring — the frame passes every station — so a
 // broadcast costs one transmission and is delivered to all other nodes.
+// The copies that arrive with the frame are handed over by one simulator
+// event, in node order: one event per frame arrival, not per copy.
 //
 // For retransmission-protocol tests, an injectable drop hook may discard
 // any message after it consumed ring time (as a real lost frame would).
@@ -76,16 +78,17 @@ class Ring {
   void set_handler(NodeId node, Handler handler);
 
   /// Transmits `msg` (unicast; broadcast when dst == kBroadcast; copyset
-  /// multicast when dst == kMulticast, addressed via msg.mcast).
-  /// Delivery is scheduled as simulator events; handlers run at delivery
-  /// time.
+  /// multicast when dst == kMulticast, addressed via msg.mcast).  Every
+  /// copy that arrives with the frame is handed over by one simulator
+  /// event, in node order; a copy the fault hook delays gets an event of
+  /// its own.  Handlers run at delivery time.
   void send(Message msg);
 
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
 
   /// Installs (or clears, with nullptr) the fault plane.  Not owned.
-  /// With no hook installed, send() takes exactly the pre-fault-plane
-  /// path: zero extra draws, zero behavior change.
+  /// With no hook installed, every recipient's plan is the empty one:
+  /// zero draws, one copy at the frame's arrival.
   void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
 
   [[nodiscard]] NodeId nodes() const {
@@ -93,10 +96,20 @@ class Ring {
   }
 
  private:
+  /// Copies of one frame handed over by one event, in node order.  A
+  /// station in `twice` takes two (a duplicate with no extra delay); one
+  /// in `corrupt` discards its copies on the frame check.
+  struct Copies {
+    NodeSet to;
+    NodeSet twice;
+    NodeSet corrupt;
+  };
+
   /// Reports a transition to every consumer (event.cc).
   void emit(const Event& e);
-  void deliver_at(Time when, NodeId dst, Message msg);
-  void deliver_planned(Time arrival, NodeId dst, const Message& msg);
+  /// Schedules the event that hands `frame` to `copies` at `when`.
+  void deliver(Time when, Copies copies, Message frame);
+  void hand_over(const Copies& copies, Message& frame);
 
   sim::Simulator& sim_;
   Stats& stats_;

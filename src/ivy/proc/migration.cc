@@ -30,19 +30,14 @@ void Scheduler::on_migrate_ask(net::Message&& msg) {
   }
   // Oldest ready migratable process (back of the LIFO queue): it has
   // waited longest and its working set is least likely to be hot here.
-  auto victim_it = ready_.end();
-  for (auto it = ready_.rbegin(); it != ready_.rend(); ++it) {
-    if ((*it)->migratable) {
-      victim_it = std::prev(it.base());
-      break;
-    }
-  }
-  if (victim_it == ready_.end()) {
+  std::size_t victim_at = ready_.size();
+  while (victim_at > 0 && !ready_[victim_at - 1]->migratable) --victim_at;
+  if (victim_at == 0) {
     refuse();
     return;
   }
-  Pcb& victim = **victim_it;
-  ready_.erase(victim_it);
+  Pcb& victim = *ready_[victim_at - 1];
+  ready_.erase(victim_at - 1);
 
   auto transfer = std::make_shared<PcbTransfer>();
   transfer->original = victim.id;

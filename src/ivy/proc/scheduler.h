@@ -9,11 +9,11 @@
 // process called the null process."
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "ivy/base/ring_deque.h"
 #include "ivy/proc/process.h"
 #include "ivy/rpc/remote_op.h"
 #include "ivy/svm/svm.h"
@@ -180,7 +180,7 @@ class Scheduler {
   LiveCounter& live_;
 
   std::vector<std::unique_ptr<Pcb>> slots_;
-  std::deque<Pcb*> ready_;  ///< front = most recently readied (LIFO)
+  RingDeque<Pcb*> ready_;  ///< front = most recently readied (LIFO)
   Pcb* running_ = nullptr;
   Pcb* last_dispatched_ = nullptr;
   Time busy_until_ = 0;

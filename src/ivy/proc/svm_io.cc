@@ -13,9 +13,14 @@ namespace {
 void fault(Scheduler* sched, svm::Svm& svm, PageId page, svm::Access want) {
   Scheduler::charge_current(sched->simulator().costs().fault_handler);
   Pcb* pcb = Scheduler::current_pcb();
-  Scheduler::block_current([sched, &svm, page, want, pcb] {
+  const auto issue = [sched, &svm, page, want, pcb] {
     svm.request_access(page, want, [sched, pcb] { sched->make_ready(*pcb); });
-  });
+  };
+  // The post-block closure holds only a reference to `issue`, so it fits
+  // std::function's inline buffer.  This stack frame outlives the call:
+  // the dispatcher schedules the post-block event before the dispatch
+  // that could resume the process, and at no later time.
+  Scheduler::block_current([&issue] { issue(); });
 }
 
 }  // namespace

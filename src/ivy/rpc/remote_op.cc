@@ -127,11 +127,12 @@ void RemoteOp::reply(const PendingReply& pending, net::Payload payload,
   in_progress_.erase(key);
   // Cache the reply so a retransmission can be answered without
   // re-executing the operation ("resend replies only when necessary").
+  // The oldest leaves first, so the ring never outgrows the capacity.
+  if (done_cache_.size() == done_cache_capacity_) evict_done_front();
   done_cache_.push_back(DoneEntry{key, payload, pending.kind, pending.origin,
                                   pending.attempt});
   std::uint64_t& high = origin_marks_[pending.origin].done_high;
   high = std::max(high, pending.rpc_id);
-  while (done_cache_.size() > done_cache_capacity_) evict_done_front();
 
   const std::uint32_t bytes = net::wire_bytes(payload);
   net::Message msg{.src = self_, .dst = pending.origin, .kind = pending.kind,
@@ -163,6 +164,7 @@ void RemoteOp::evict_done_front() {
 }
 
 void RemoteOp::set_done_cache_capacity(std::size_t capacity) {
+  IVY_CHECK_GE(capacity, 1u);
   done_cache_capacity_ = capacity;
   while (done_cache_.size() > done_cache_capacity_) evict_done_front();
 }
@@ -259,12 +261,14 @@ void RemoteOp::handle_reply(net::Message&& msg) {
 }
 
 void RemoteOp::note_replied(std::uint64_t key) {
-  replied_.insert(key);
-  replied_order_.push_back(key);
-  if (replied_order_.size() > kRepliedCacheCapacity) {
+  // `key` is new (the caller checked), so evicting the oldest first
+  // keeps the same last kRepliedCacheCapacity keys as evicting after.
+  if (replied_order_.size() == kRepliedCacheCapacity) {
     replied_.erase(replied_order_.front());
     replied_order_.pop_front();
   }
+  replied_.insert(key);
+  replied_order_.push_back(key);
 }
 
 void RemoteOp::handle_request(net::Message&& msg) {
@@ -274,7 +278,8 @@ void RemoteOp::handle_request(net::Message&& msg) {
   // it.  Any other copy trails the one served and is dropped.  An id above
   // every id cached from its origin was never answered: no scan.
   if (msg.rpc_id <= origin_marks_[msg.origin].done_high) {
-    for (DoneEntry& done : done_cache_) {
+    for (std::size_t i = 0; i < done_cache_.size(); ++i) {
+      DoneEntry& done = done_cache_[i];
       if (done.key != key) continue;
       if (msg.attempt <= done.attempt) return;
       done.attempt = msg.attempt;
@@ -288,7 +293,7 @@ void RemoteOp::handle_request(net::Message&& msg) {
     }
   }
   // Still being served?  The reply is on its way; drop the duplicate.
-  if (!in_progress_.insert(key).second) return;
+  if (!in_progress_.insert(key)) return;
 
   // Heuristic re-execution detector: rpc ids are per-origin monotone, so
   // a "new" request at or below the origin's eviction watermark is old

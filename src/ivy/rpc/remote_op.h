@@ -43,12 +43,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "ivy/base/flat_set.h"
+#include "ivy/base/ring_deque.h"
 #include "ivy/base/rng.h"
 #include "ivy/base/stats.h"
 #include "ivy/net/ring.h"
@@ -219,8 +219,8 @@ class RemoteOp {
   void set_failure_handler(FailureCallback handler) {
     failure_handler_ = std::move(handler);
   }
-  /// Shrinks (or grows) the done-cache; exposed so tests can force
-  /// eviction-induced re-execution with little traffic.
+  /// Shrinks (or grows) the done-cache, to at least one entry; exposed so
+  /// tests can force eviction-induced re-execution with little traffic.
   void set_done_cache_capacity(std::size_t capacity);
   [[nodiscard]] std::size_t outstanding_requests() const {
     return outstanding_.size();
@@ -292,9 +292,10 @@ class RemoteOp {
   std::array<ServerHandler, net::kMsgKinds> orphan_handlers_{};
 
   // Duplicate-request suppression: in-progress set + bounded cache of
-  // completed replies ("resend replies only when necessary").
-  std::unordered_set<std::uint64_t> in_progress_;
-  std::deque<DoneEntry> done_cache_;
+  // completed replies ("resend replies only when necessary"), oldest
+  // first.
+  FlatSet in_progress_;
+  RingDeque<DoneEntry> done_cache_;
   std::size_t done_cache_capacity_ = 1024;
   /// Per origin node (NodeId is dense), two rpc ids, 0 for none (every
   /// id is at least 1).  `done_high`: the highest ever cached; a request
@@ -313,10 +314,11 @@ class RemoteOp {
   // is handed to the orphan machinery a second time, which can issue a
   // contradictory decision for a resource it already accepted, and a
   // duplicated kAll reply double-decrements the remaining-reply count.
-  // Bounded like the done-cache; an evicted entry degrades gracefully to
-  // the orphan path.
-  std::deque<std::uint64_t> replied_order_;
-  std::unordered_set<std::uint64_t> replied_;
+  // Bounded like the done-cache: the last kRepliedCacheCapacity keys,
+  // `replied_order_` oldest first; an evicted entry degrades gracefully
+  // to the orphan path.
+  RingDeque<std::uint64_t> replied_order_;
+  FlatSet replied_;
   static std::uint64_t reply_key(NodeId server, std::uint64_t rpc_id) {
     return (static_cast<std::uint64_t>(server) << 56) ^ rpc_id;
   }

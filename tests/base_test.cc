@@ -1,10 +1,14 @@
 // Unit tests for the base substrate: deterministic RNG, node sets,
-// counters and epochs.
+// counters and epochs, and the flat bookkeeping containers.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <memory>
 #include <set>
 
 #include "ivy/base/check.h"
+#include "ivy/base/flat_set.h"
+#include "ivy/base/ring_deque.h"
 #include "ivy/base/rng.h"
 #include "ivy/base/stats.h"
 #include "ivy/base/types.h"
@@ -82,6 +86,84 @@ TEST(Rng, ForkIsIndependent) {
   // Child stream differs from the parent's continuation.
   Rng child2 = child;
   EXPECT_EQ(child(), child2());
+}
+
+TEST(RingDeque, MatchesADequeAcrossGrowthAndWrap) {
+  RingDeque<int> ring;
+  std::deque<int> model;
+  Rng rng(17);
+  for (int i = 0; i < 5000; ++i) {
+    switch (rng.below(4)) {
+      case 0:
+        ring.push_front(i);
+        model.push_front(i);
+        break;
+      case 1:
+        ring.push_back(i);
+        model.push_back(i);
+        break;
+      case 2:
+        if (model.empty()) break;
+        ring.pop_front();
+        model.pop_front();
+        break;
+      default: {
+        if (model.empty()) break;
+        const std::size_t at = rng.below(model.size());
+        ring.erase(at);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    ASSERT_EQ(ring.empty(), model.empty());
+    for (std::size_t j = 0; j < model.size(); ++j) {
+      ASSERT_EQ(ring[j], model[j]);
+    }
+  }
+}
+
+TEST(RingDeque, PopAndEraseReleaseTheElement) {
+  RingDeque<std::shared_ptr<int>> ring;
+  const auto a = std::make_shared<int>(1);
+  const auto b = std::make_shared<int>(2);
+  ring.push_back(a);
+  ring.push_back(b);
+  ring.pop_front();
+  EXPECT_EQ(a.use_count(), 1);
+  ring.erase(0);
+  EXPECT_EQ(b.use_count(), 1);
+  EXPECT_TRUE(ring.empty());
+}
+
+TEST(FlatSet, MatchesASetUnderChurn) {
+  // Few distinct keys, so probe runs collide and erasure shifts them.
+  FlatSet set;
+  std::set<std::uint64_t> model;
+  Rng rng(29);
+  for (int i = 0; i < 50000; ++i) {
+    const std::uint64_t key = 1 + rng.below(300);
+    if (rng.below(2) == 0) {
+      ASSERT_EQ(set.insert(key), model.insert(key).second);
+    } else {
+      ASSERT_EQ(set.erase(key), model.erase(key) == 1);
+    }
+    ASSERT_EQ(set.size(), model.size());
+    if (i % 97 == 0) {
+      for (std::uint64_t k = 1; k <= 300; ++k) {
+        ASSERT_EQ(set.contains(k), model.contains(k));
+      }
+    }
+  }
+}
+
+TEST(FlatSet, EmptySetHoldsNothing) {
+  FlatSet set;
+  EXPECT_FALSE(set.contains(7));
+  EXPECT_FALSE(set.erase(7));
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_FALSE(set.insert(7));
+  EXPECT_TRUE(set.erase(7));
+  EXPECT_EQ(set.size(), 0u);
 }
 
 TEST(NodeSet, BasicOperations) {

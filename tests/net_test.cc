@@ -1,5 +1,6 @@
 // Unit tests for the simulated token ring: serialization on the shared
-// medium, FIFO delivery, broadcast fan-out, drop injection, fault-hook
+// medium, FIFO delivery, broadcast and multicast fan-out (one event per
+// frame arrival, copies in node order), drop injection, fault-hook
 // mechanics, and the receiver discard of corrupted frames.
 #include <gtest/gtest.h>
 
@@ -81,17 +82,45 @@ TEST_F(RingTest, FifoBetweenSameEndpoints) {
 }
 
 TEST_F(RingTest, BroadcastReachesAllOthersAtOnce) {
+  // The first recipient schedules an event for the arrival time itself;
+  // it runs only after the last recipient was handed its copy.
+  ring_.set_handler(0, [this](Message&& msg) {
+    received_.push_back({0, std::move(msg), sim_.now()});
+    sim_.schedule_at(sim_.now(), [this] {
+      received_.push_back({kNoNode, Message{}, sim_.now()});
+    });
+  });
   ring_.send(make(1, kBroadcast));
   sim_.run_until_idle();
-  ASSERT_EQ(received_.size(), 3u);
-  std::set<NodeId> who;
+  ASSERT_EQ(received_.size(), 4u);
+  std::vector<NodeId> order;
   for (const auto& d : received_) {
-    who.insert(d.at);
+    order.push_back(d.at);
     EXPECT_EQ(d.when, received_[0].when);  // one frame, one arrival time
   }
-  EXPECT_EQ(who, (std::set<NodeId>{0, 2, 3}));
+  // Node order, then the recipient's own event.
+  EXPECT_EQ(order, (std::vector<NodeId>{0, 2, 3, kNoNode}));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(received_[i].msg.dst, order[i]);
+  }
+  // One event handed over every copy; the other is node 0's.
+  EXPECT_EQ(sim_.events_executed(), 2u);
   EXPECT_EQ(stats_.total(Counter::kBroadcasts), 1u);
   EXPECT_EQ(stats_.total(Counter::kMessages), 0u);
+}
+
+TEST_F(RingTest, MulticastReachesAddressedStationsInNodeOrder) {
+  Message m = make(2, kMulticast);
+  m.mcast.add(3);
+  m.mcast.add(0);
+  ring_.send(std::move(m));
+  sim_.run_until_idle();
+  ASSERT_EQ(received_.size(), 2u);
+  EXPECT_EQ(received_[0].at, 0u);
+  EXPECT_EQ(received_[1].at, 3u);
+  EXPECT_EQ(received_[0].when, received_[1].when);
+  EXPECT_EQ(sim_.events_executed(), 1u);
+  EXPECT_EQ(stats_.total(Counter::kMulticasts), 1u);
 }
 
 TEST_F(RingTest, DropHookLosesFrameAfterOccupyingMedium) {
@@ -215,6 +244,37 @@ TEST_F(RingTest, CorruptedDuplicateDropsEachCopy) {
   sim_.run_until_idle();
   EXPECT_TRUE(received_.empty());
   EXPECT_EQ(stats_.node_total(2, Counter::kChecksumDrops), 2u);
+}
+
+TEST_F(RingTest, FaultedCopiesKeepTheirOrder) {
+  // Broadcast from 1: node 0's copy is delayed, node 2's is duplicated
+  // with no extra delay, node 3's is corrupted.  The copies that arrive
+  // with the frame are handed over in node order (2, 2, then 3's frame
+  // check), and the delayed copy arrives alone, later.
+  ScriptedHook hook;
+  hook.plans = {{.extra_delay = us(5)},
+                {.duplicate = true, .duplicate_delay = 0},
+                {.corrupt = true}};
+  ring_.set_fault_hook(&hook);
+  std::vector<std::uint64_t> drops_seen;
+  for (NodeId n : {0u, 2u}) {
+    ring_.set_handler(n, [this, n, &drops_seen](Message&& msg) {
+      drops_seen.push_back(stats_.node_total(3, Counter::kChecksumDrops));
+      received_.push_back({n, std::move(msg), sim_.now()});
+    });
+  }
+  ring_.send(make(1, kBroadcast));
+  sim_.run_until_idle();
+  ASSERT_EQ(received_.size(), 3u);
+  EXPECT_EQ(received_[0].at, 2u);
+  EXPECT_EQ(received_[1].at, 2u);
+  EXPECT_EQ(received_[0].when, received_[1].when);
+  EXPECT_EQ(received_[2].at, 0u);
+  EXPECT_EQ(received_[2].when - received_[0].when, us(5));
+  // Node 3's frame check ran after node 2's copies, before node 0's.
+  EXPECT_EQ(drops_seen, (std::vector<std::uint64_t>{0, 0, 1}));
+  // One event at the arrival, one for the delayed copy.
+  EXPECT_EQ(sim_.events_executed(), 2u);
 }
 
 TEST(RingMisc, MessageKindNamesExist) {

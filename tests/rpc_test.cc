@@ -410,6 +410,45 @@ TEST_F(RpcTest, OrphanReplyHandlerSeesLateDuplicates) {
   EXPECT_NE(first, orphaned);
 }
 
+TEST_F(RpcTest, DuplicateReplyWindowHoldsTheLast4096Replies) {
+  // A client acts on each (server, rpc) reply once.  A duplicated reply
+  // frame is swallowed while its key is among the last 4096 replies the
+  // client processed; once 4096 newer ones pushed it out, the duplicate
+  // reaches the orphan handler.
+  op(1).set_handler(net::MsgKind::kAllocRequest, [&](net::Message&& msg) {
+    op(1).reply_to(msg, carrying(value_of(msg)));
+  });
+  int orphans = 0;
+  op(0).set_orphan_reply_handler(net::MsgKind::kAllocRequest,
+                                 [&](net::Message&&) { ++orphans; });
+  const auto exchange = [&](int value) {
+    op(0).request(1, net::MsgKind::kAllocRequest, carrying(value),
+                  [](net::Message&&) {});
+    sim_.run_until_idle();
+  };
+  net::Message first;
+  op(0).request(1, net::MsgKind::kAllocRequest, carrying(0),
+                [&](net::Message&& reply) { first = std::move(reply); });
+  sim_.run_until_idle();
+  const auto duplicate = [&] {
+    ring_.send(first);
+    sim_.run_until_idle();
+  };
+
+  duplicate();
+  EXPECT_EQ(orphans, 0);
+  for (int i = 1; i < 4096; ++i) exchange(i);
+  duplicate();  // 4095 newer replies: still inside the window
+  EXPECT_EQ(orphans, 0);
+  exchange(4096);
+  duplicate();  // the 4096th pushed it out
+  EXPECT_EQ(orphans, 1);
+  duplicate();  // the orphaned copy was noted in its turn
+  EXPECT_EQ(orphans, 1);
+  EXPECT_EQ(op(1).pending_serves(), 0u);
+  EXPECT_EQ(op(0).outstanding_requests(), 0u);
+}
+
 TEST_F(RpcTest, BackoffSpacesRetransmissionsExponentially) {
   // Drop every request frame so the client retransmits to its cap; the
   // replies never happen.  Waits must grow roughly geometrically.
